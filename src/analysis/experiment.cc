@@ -118,6 +118,17 @@ foldReplayStats(const MemoBank &bank,
     }
 }
 
+/** Stream one class's operand columns through @p table in blocks. */
+void
+probeColumns(MemoTable &table, const TraceStore::ClassColumns &col)
+{
+    const size_t m = col.a.size();
+    for (size_t base = 0; base < m; base += kReplayBlock)
+        table.probeBlock(col.a.data() + base, col.b.data() + base,
+                         col.r.data() + base,
+                         std::min(m - base, kReplayBlock));
+}
+
 } // anonymous namespace
 
 void
@@ -148,18 +159,10 @@ replayMemo(const Trace &trace, MemoBank &bank)
         // replay of it) in kReplayBlock chunks. Accesses of one table
         // keep their trace order and different tables are independent
         // state, so the partitioning is exact, not approximate.
-        for (unsigned c = 0; c < numInstClasses; c++) {
-            if (!tables[c])
-                continue;
-            const TraceStore::ClassColumns &col =
-                store.classColumns(static_cast<InstClass>(c));
-            const size_t m = col.a.size();
-            for (size_t base = 0; base < m; base += kReplayBlock)
-                tables[c]->probeBlock(
-                    col.a.data() + base, col.b.data() + base,
-                    col.r.data() + base,
-                    std::min(m - base, kReplayBlock));
-        }
+        for (unsigned c = 0; c < numInstClasses; c++)
+            if (tables[c])
+                probeColumns(*tables[c], store.classColumns(
+                                             static_cast<InstClass>(c)));
     }
 
     foldReplayStats(bank, before, trace.size());
@@ -224,17 +227,9 @@ replayMemoStreamed(const SpillStore &store, const std::string &key,
             part[c].b.push_back(b[i]);
             part[c].r.push_back(r[i]);
         }
-        for (unsigned c = 0; c < numInstClasses; c++) {
-            const TraceStore::ClassColumns &col = part[c];
-            const size_t n = col.a.size();
-            if (!n)
-                continue;
-            for (size_t base = 0; base < n; base += kReplayBlock)
-                tables[c]->probeBlock(
-                    col.a.data() + base, col.b.data() + base,
-                    col.r.data() + base,
-                    std::min(n - base, kReplayBlock));
-        }
+        for (unsigned c = 0; c < numInstClasses; c++)
+            if (tables[c])
+                probeColumns(*tables[c], part[c]);
     }
 
     foldReplayStats(bank, before, reader.records());

@@ -64,14 +64,15 @@ constexpr size_t kReplayBlock = 4096;
  * Accesses reach each table in trace order, so the resulting table
  * states and statistics are bit-identical to replayMemoReference();
  * tests/test_replay_batched.cc and the memo-fuzz batched-replay mode
- * enforce that equivalence.
+ * check both against the independent check::ReferenceMemoTable.
  */
 void replayMemo(const Trace &trace, MemoBank &bank);
 
 /**
- * The scalar per-Instruction replay loop, retained as the oracle for
- * the batched path. Semantically identical to replayMemo() and kept
- * deliberately simple; do not optimize it.
+ * The per-Instruction replay loop: one lookup()/update() call pair per
+ * access. Semantically identical to replayMemo(); kept deliberately
+ * simple as the denominator of the replay_speed_gate ratio (batched
+ * blocks against single-access calls), so do not optimize it.
  */
 void replayMemoReference(const Trace &trace, MemoBank &bank);
 

@@ -10,6 +10,7 @@
 
 #include "arith/fp.hh"
 #include "check/differ.hh"
+#include "check/reference.hh"
 #include "core/bank.hh"
 #include "core/memo_table.hh"
 #include "lint/analyzer.hh"
@@ -475,24 +476,37 @@ recipCacheCase(FuzzRng &rng, uint64_t case_index,
     return f;
 }
 
+/** A defect the kernel-vs-reference differential must catch. */
+enum class ReplayFault
+{
+    None,
+    /** The batched side drops the last access of every full block. */
+    BlockOffByOne,
+    /** The reference forgets to refresh an LRU entry on a hit. */
+    LruRefreshDropped,
+};
+
 /**
- * Batched-vs-scalar differential: the same fuzzed access stream is
+ * Kernel-vs-reference differential: the same fuzzed access stream is
  * driven through MemoTable::probeBlock (in a fuzzed block size) and
- * through the scalar lookup()/update() pair on an identically
- * configured table. Statistics, valid-entry counts and the stored
- * contents (checked by a second, pairwise lookup pass) must match
- * exactly — probeBlock documents scalar equivalence, and this case
- * holds it to that across every mode combination fuzzConfig() can
- * draw. With inject_block_bug the batched side drops the last access
- * of every full block (the off-by-one a blocked loop is most likely
- * to grow) and the harness must catch the divergence.
+ * through the independent ReferenceMemoTable, with the same
+ * soft-error bit flips injected into both between blocks. Statistics,
+ * valid-entry counts and the stored contents (checked by a second
+ * pass of single-access lookup()/update() calls on both) must match
+ * exactly across every mode combination fuzzConfig() can draw. Each
+ * injected ReplayFault must make the harness report a divergence.
  */
 std::optional<FuzzFailure>
 batchedReplayCase(FuzzRng &rng, uint64_t case_index,
-                  const FuzzOptions &opts, bool inject_block_bug)
+                  const FuzzOptions &opts, ReplayFault fault)
 {
     Operation op = fuzzOperation(rng);
     MemoConfig cfg = fuzzConfig(rng);
+    if (fault == ReplayFault::LruRefreshDropped) {
+        // The only tables the fault can affect.
+        cfg.replacement = Replacement::Lru;
+        cfg.infinite = false;
+    }
     std::vector<Access> stream = fuzzStream(rng, op, opts.streamLen);
     // Block sizes straddling the interesting boundaries: degenerate
     // single-access blocks, sizes that do not divide the stream, the
@@ -500,76 +514,100 @@ batchedReplayCase(FuzzRng &rng, uint64_t case_index,
     static constexpr size_t block_sizes[] = {1,  2,   3,   7,
                                              64, 256, 512, 4096};
     const size_t block = block_sizes[rng.below(std::size(block_sizes))];
+    const uint64_t flip_seed = rng.next();
 
     auto fails = [=](const std::vector<Access> &s)
         -> std::optional<std::string> {
-        MemoTable scalar(op, cfg);
-        MemoTable batched(op, cfg);
+        ReferenceMemoTable ref(op, cfg,
+                               fault == ReplayFault::LruRefreshDropped);
+        MemoTable kernel(op, cfg);
+        FuzzRng flips(flip_seed);
 
         std::vector<uint64_t> a, b, r;
-        a.reserve(s.size());
-        b.reserve(s.size());
-        r.reserve(s.size());
         for (const Access &ac : s) {
-            uint64_t res = computeResult(op, ac.a, ac.b);
-            if (!scalar.lookup(ac.a, ac.b))
-                scalar.update(ac.a, ac.b, res);
             a.push_back(ac.a);
             b.push_back(ac.b);
-            r.push_back(res);
+            r.push_back(computeResult(op, ac.a, ac.b));
         }
+        auto compare = [&](const char *when)
+            -> std::optional<std::string> {
+            const MemoStats &x = ref.stats();
+            const MemoStats &y = kernel.stats();
+            const std::pair<const char *,
+                            std::pair<uint64_t, uint64_t>>
+                fields[] = {
+                    {"lookups", {x.lookups, y.lookups}},
+                    {"hits", {x.hits, y.hits}},
+                    {"trivialHits", {x.trivialHits, y.trivialHits}},
+                    {"misses", {x.misses, y.misses}},
+                    {"insertions", {x.insertions, y.insertions}},
+                    {"evictions", {x.evictions, y.evictions}},
+                    {"trivialBypassed",
+                     {x.trivialBypassed, y.trivialBypassed}},
+                    {"parityMisses", {x.parityMisses, y.parityMisses}},
+                };
+            for (const auto &[name, v] : fields) {
+                if (v.first != v.second)
+                    return std::string("stats diverge ") + when + ": " +
+                           name + " reference=" +
+                           std::to_string(v.first) +
+                           " kernel=" + std::to_string(v.second);
+            }
+            if (ref.validEntries() != kernel.validEntries())
+                return std::string("valid entry counts diverge ") +
+                       when + ": reference=" +
+                       std::to_string(ref.validEntries()) +
+                       " kernel=" +
+                       std::to_string(kernel.validEntries());
+            return std::nullopt;
+        };
+
         for (size_t base = 0; base < a.size(); base += block) {
             size_t n = std::min(block, a.size() - base);
-            if (inject_block_bug && n == block && n > 1)
+            for (size_t i = base; i < base + n; i++) {
+                if (!ref.lookup(a[i], b[i]))
+                    ref.update(a[i], b[i], r[i]);
+            }
+            if (fault == ReplayFault::BlockOffByOne && n == block &&
+                n > 1)
                 n--; // off-by-one: lose the block's last access
-            batched.probeBlock(a.data() + base, b.data() + base,
-                               r.data() + base, n);
-        }
-
-        const MemoStats &x = scalar.stats();
-        const MemoStats &y = batched.stats();
-        const std::pair<const char *, std::pair<uint64_t, uint64_t>>
-            fields[] = {
-                {"lookups", {x.lookups, y.lookups}},
-                {"hits", {x.hits, y.hits}},
-                {"trivialHits", {x.trivialHits, y.trivialHits}},
-                {"misses", {x.misses, y.misses}},
-                {"insertions", {x.insertions, y.insertions}},
-                {"evictions", {x.evictions, y.evictions}},
-                {"trivialBypassed",
-                 {x.trivialBypassed, y.trivialBypassed}},
-                {"parityMisses", {x.parityMisses, y.parityMisses}},
-            };
-        for (const auto &[name, v] : fields) {
-            if (v.first != v.second)
-                return std::string("stats diverge: ") + name +
-                       " scalar=" + std::to_string(v.first) +
-                       " batched=" + std::to_string(v.second);
-        }
-        if (scalar.validEntries() != batched.validEntries())
-            return "valid entry counts diverge: scalar=" +
-                   std::to_string(scalar.validEntries()) + " batched=" +
-                   std::to_string(batched.validEntries());
-
-        // Contents check: both tables, now in supposedly identical
-        // states, must answer a second pass over the stream with the
-        // same hit pattern and the same returned bits (the pass
-        // mutates both tables, but symmetrically).
-        for (size_t i = 0; i < a.size(); i++) {
-            auto va = scalar.lookup(a[i], b[i]);
-            auto vb = batched.lookup(a[i], b[i]);
-            if (va != vb)
-                return "stored contents diverge at readback " +
-                       std::to_string(i) + ": scalar " +
-                       (va ? hex(*va) : std::string("miss")) +
-                       ", batched " +
-                       (vb ? hex(*vb) : std::string("miss"));
-            if (!va) {
-                scalar.update(a[i], b[i], r[i]);
-                batched.update(a[i], b[i], r[i]);
+            kernel.probeBlock(a.data() + base, b.data() + base,
+                              r.data() + base, n);
+            // A soft error between blocks: both tables must hold the
+            // same entry there, and parity protection must drop it
+            // on both.
+            if (!cfg.infinite && flips.chance(1, 4)) {
+                auto set = static_cast<unsigned>(flips.below(cfg.sets()));
+                auto way = static_cast<unsigned>(flips.below(cfg.ways));
+                auto bit = static_cast<unsigned>(flips.below(64));
+                if (ref.injectBitFlip(set, way, bit) !=
+                    kernel.injectBitFlip(set, way, bit))
+                    return "entry validity diverges at set " +
+                           std::to_string(set) + " way " +
+                           std::to_string(way);
             }
         }
-        return std::nullopt;
+        if (auto d = compare("after probeBlock"))
+            return d;
+
+        // Contents check: both tables, now in supposedly identical
+        // states, must answer a second pass of single-access calls
+        // with the same hit pattern and the same returned bits.
+        for (size_t i = 0; i < a.size(); i++) {
+            auto va = ref.lookup(a[i], b[i]);
+            auto vb = kernel.lookup(a[i], b[i]);
+            if (va != vb)
+                return "stored contents diverge at readback " +
+                       std::to_string(i) + ": reference " +
+                       (va ? hex(*va) : std::string("miss")) +
+                       ", kernel " +
+                       (vb ? hex(*vb) : std::string("miss"));
+            if (!va) {
+                ref.update(a[i], b[i], r[i]);
+                kernel.update(a[i], b[i], r[i]);
+            }
+        }
+        return compare("after readback");
     };
 
     auto first = fails(stream);
@@ -581,8 +619,11 @@ batchedReplayCase(FuzzRng &rng, uint64_t case_index,
                           });
     FuzzFailure f;
     f.caseIndex = case_index;
-    f.kind = inject_block_bug ? "batched-replay(+injected-block-bug)"
-                              : "batched-replay";
+    f.kind = fault == ReplayFault::BlockOffByOne
+                 ? "batched-replay(+injected-block-bug)"
+             : fault == ReplayFault::LruRefreshDropped
+                 ? "batched-replay(+injected-lru-bug)"
+                 : "batched-replay";
     f.what = *fails(stream);
     std::ostringstream repro;
     repro << "memo_fuzz --seed " << opts.seed << " --iters "
@@ -1102,7 +1143,7 @@ runFuzzCase(uint64_t case_index, const FuzzOptions &opts)
       case 6:
         return recipCacheCase(rng, case_index, opts);
       case 7:
-        return batchedReplayCase(rng, case_index, opts, false);
+        return batchedReplayCase(rng, case_index, opts, ReplayFault::None);
       case 8:
         return chunkCodecCase(rng, case_index, opts);
       case 9:
@@ -1155,23 +1196,31 @@ mutationSelfTest(const FuzzOptions &opts, std::ostream *log)
                 "survived "
              << opts.iters << " cases (seed " << opts.seed << ")\n";
 
-    bool block_caught = false;
-    for (uint64_t i = 0; i < opts.iters; i++) {
-        FuzzRng rng = caseRng(opts.seed, i);
-        if (auto f = batchedReplayCase(rng, i, opts, true)) {
-            if (log)
-                *log << "block mutation caught at case " << i << ": "
-                     << f->what << "\n  " << f->detail << "\n";
-            block_caught = true;
-            break;
+    // The kernel-vs-reference differential must catch a fault on
+    // either side of it.
+    auto replay_caught = [&](ReplayFault fault, const char *what) {
+        for (uint64_t i = 0; i < opts.iters; i++) {
+            FuzzRng rng = caseRng(opts.seed, i);
+            if (auto f = batchedReplayCase(rng, i, opts, fault)) {
+                if (log)
+                    *log << what << " mutation caught at case " << i
+                         << ": " << f->what << "\n  " << f->detail
+                         << "\n";
+                return true;
+            }
         }
-    }
-    if (!block_caught && log)
-        *log << "MUTATION MISSED: injected block-boundary off-by-one "
-                "survived "
-             << opts.iters << " cases (seed " << opts.seed << ")\n";
+        if (log)
+            *log << "MUTATION MISSED: injected " << what
+                 << " fault survived " << opts.iters << " cases (seed "
+                 << opts.seed << ")\n";
+        return false;
+    };
+    bool block_caught =
+        replay_caught(ReplayFault::BlockOffByOne, "block-boundary");
+    bool lru_caught =
+        replay_caught(ReplayFault::LruRefreshDropped, "LRU-refresh");
 
-    // Third leg: break the lexer's block-comment newline accounting
+    // Last leg: break the lexer's block-comment newline accounting
     // and require the lint oracle's position invariants to notice.
     // Deterministic — one canonical multi-line comment suffices.
     lint::setLexerFaultInjection(true);
@@ -1187,7 +1236,7 @@ mutationSelfTest(const FuzzOptions &opts, std::ostream *log)
                     "survived the lint oracle\n";
     }
 
-    return tag_caught && block_caught && lexer_caught;
+    return tag_caught && block_caught && lru_caught && lexer_caught;
 }
 
 } // namespace memo::check

@@ -21,14 +21,17 @@
  * repro.
  *
  * The mutation self-test (mutationSelfTest) deliberately injects
- * three bugs and requires all be caught: a tag-comparison bug — the
+ * four bugs and requires all be caught: a tag-comparison bug — the
  * real table sees operand A with its top 16 bits forced to zero, the
  * oracle sees the true operand — producing false hits; a
  * block-boundary off-by-one in the batched-replay differential — the
  * probeBlock side silently drops the last access of every full block;
- * and a lexer fault (lint::setLexerFaultInjection) that stops
- * counting newlines inside block comments, which the lint oracle's
- * position invariants must trip. CI runs it to prove the oracles have
+ * a ReferenceMemoTable (check/reference.hh) whose LRU hits no longer
+ * refresh the entry, which the same kernel-vs-reference differential
+ * must flag; and a lexer fault (lint::setLexerFaultInjection) that
+ * stops counting newlines inside block comments, which the lint
+ * oracle's position invariants must trip. CI runs it to prove the
+ * oracles have
  * teeth (see docs/TESTING.md).
  */
 
@@ -129,9 +132,10 @@ std::optional<FuzzFailure> fuzz(const FuzzOptions &opts,
 /**
  * Mutation smoke test: rerun the MemoTable differential with an
  * injected tag-comparison bug, the batched-replay differential with
- * an injected block-boundary off-by-one, and the memo-lint oracle
+ * an injected block-boundary off-by-one and, separately, with a
+ * reference that drops LRU refresh-on-hit, and the memo-lint oracle
  * with an injected lexer newline-accounting bug, requiring the
- * harness to catch all three.
+ * harness to catch all four.
  *
  * @return true when the oracles detected every injected bug
  */

@@ -95,7 +95,7 @@ OracleTable::keyOf(uint64_t a_bits, uint64_t b_bits) const
     // Commutative canonical order — except both-NaN fp pairs, whose
     // products are not bit-commutative (the unit propagates the first
     // operand's payload); those keep exact operand order, mirroring
-    // MemoTable::commutableBits.
+    // operand::swappable (core/operand.hh).
     bool swap_ok = isCommutative(op) &&
                    !(op == Operation::FpMul && fpIsNaNBits(a_bits) &&
                      fpIsNaNBits(b_bits));

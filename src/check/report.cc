@@ -727,17 +727,6 @@ setDigits(const obs::PhaseProfile &p, size_t row)
     return s;
 }
 
-bool
-sameStats(const MemoStats &a, const MemoStats &b)
-{
-    return a.lookups == b.lookups && a.hits == b.hits &&
-           a.trivialHits == b.trivialHits && a.misses == b.misses &&
-           a.insertions == b.insertions &&
-           a.evictions == b.evictions &&
-           a.trivialBypassed == b.trivialBypassed &&
-           a.parityMisses == b.parityMisses;
-}
-
 /**
  * Measure one MM application's phase behaviour: the first
  * kPhaseImages standard inputs concatenated into one stream, replayed
@@ -776,7 +765,7 @@ measurePhases(const std::string &name)
                 len += w.length;
             }
             const MemoStats &fin = bank.table(p.op)->stats();
-            if (!sameStats(sum, fin) ||
+            if (sum != fin ||
                 len != fin.lookups + fin.trivialBypassed)
                 cell.partitionOk = false;
         }

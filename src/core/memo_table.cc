@@ -1,12 +1,13 @@
 #include "memo_table.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <type_traits>
 
-#include "arith/fp.hh"
 #include "arith/hash.hh"
-#include "arith/trivial.hh"
+#include "core/operand.hh"
 
 namespace memo
 {
@@ -15,12 +16,24 @@ MemoTable::MemoTable(Operation operation, const MemoConfig &config)
     : op(operation), cfg(config)
 {
     assert(cfg.validate().empty());
-    if (!cfg.infinite) {
-        indexBits = log2Exact(cfg.sets());
+    const bool finite = !cfg.infinite;
+    shape_ = Shape{
+        .op = op,
+        .hash = cfg.hashScheme,
+        .ways = cfg.ways,
+        .indexBits = finite ? log2Exact(cfg.sets()) : 0,
+        .filterTrivial = cfg.trivialMode != TrivialMode::CacheAll,
+        .bypassTrivial = cfg.trivialMode == TrivialMode::NonTrivialOnly,
+        .extended = cfg.extendedTrivial,
+        .mantissa = operand::mantissaTags(op, cfg.tagMode),
+        .unary = isUnary(op),
+        .lru = finite && cfg.replacement == Replacement::Lru,
+        .randomVictim = cfg.replacement == Replacement::Random,
+        .parity = finite && cfg.parityProtected,
+        .infinite = cfg.infinite,
+    };
+    if (finite)
         entries.resize(cfg.entries);
-    } else {
-        indexBits = 0;
-    }
 }
 
 void
@@ -51,6 +64,49 @@ entryParity(uint64_t tag_a, uint64_t tag_b, uint64_t value)
            1;
 }
 
+/**
+ * Branch-free trivial pre-filter: false when the operands cannot be
+ * trivial, because no zero / one / extended-set constant is involved.
+ * Only the rare candidates take the full detector
+ * (operand::trivial), which remains the single source of truth.
+ * NaN/inf operands need no test here: the detectors classify them
+ * non-trivial anyway.
+ */
+inline bool
+mayBeTrivial(Operation op, bool ext, uint64_t a, uint64_t b)
+{
+    constexpr uint64_t kOneBits = 0x3ff0000000000000ULL;
+    constexpr uint64_t kNegOneBits = 0xbff0000000000000ULL;
+    bool rare = false;
+    switch (op) {
+      case Operation::IntMul:
+        rare = (a == 0) | (b == 0) | (a == 1) | (b == 1);
+        if (ext)
+            rare |= (a == ~uint64_t{0}) | (b == ~uint64_t{0});
+        break;
+      case Operation::FpMul:
+        rare = ((a << 1) == 0) | ((b << 1) == 0) | (a == kOneBits) |
+               (b == kOneBits);
+        if (ext)
+            rare |= (a == kNegOneBits) | (b == kNegOneBits);
+        break;
+      case Operation::FpDiv:
+        // b == ±0 / NaN / inf are non-trivial; a == b (the ext
+        // DivBySelf test) compares equal as doubles iff the bits
+        // match, zeros and NaNs having been ruled out by the detector.
+        rare = ((a << 1) == 0) | (b == kOneBits);
+        if (ext)
+            rare |= (b == kNegOneBits) | (a == b);
+        break;
+      case Operation::FpSqrt:
+        rare = ext & (((a << 1) == 0) | (a == kOneBits));
+        break;
+      default:
+        break;
+    }
+    return rare;
+}
+
 /** setPhaseBoundaryFault() state; read once per boundary decision. */
 std::atomic<bool> phase_boundary_fault{false};
 
@@ -60,17 +116,6 @@ void
 setPhaseBoundaryFault(bool enabled)
 {
     phase_boundary_fault.store(enabled, std::memory_order_relaxed);
-}
-
-uint64_t
-MemoTable::phaseNextBoundary() const
-{
-    // Injected bug: see the boundary one access late, shifting every
-    // window's covered range — the phase differential tests prove
-    // their scalar reference accumulator catches this.
-    uint64_t fault =
-        phase_boundary_fault.load(std::memory_order_relaxed) ? 1 : 0;
-    return phase_->flushedThrough + phase_->window() + fault;
 }
 
 void
@@ -130,713 +175,251 @@ MemoTable::validEntries() const
     return n;
 }
 
-bool
-MemoTable::checkTrivial(uint64_t a_bits, uint64_t b_bits,
-                        uint64_t &result) const
+template <bool Hooked, unsigned Halves>
+[[gnu::always_inline]] inline bool
+MemoTable::kernel(const Shape &k, Entry *ents, MemoStats &st,
+                  uint64_t &t, uint64_t a, uint64_t b, uint64_t r,
+                  uint64_t &out)
 {
-    bool ext = cfg.extendedTrivial;
-    switch (op) {
-      case Operation::IntMul: {
-        auto t = trivialIntMul(static_cast<int64_t>(a_bits),
-                               static_cast<int64_t>(b_bits), ext);
-        if (!t)
+    constexpr bool probe = Halves & kProbe;
+    constexpr bool install = Halves & kInstall;
+
+    // Decode. The set index is also every event's set field (0 for
+    // infinite and single-set tables).
+    const uint64_t set =
+        operand::setIndex(k.op, k.hash, k.indexBits, a, b);
+    auto emit = [&]([[maybe_unused]] TableEventKind kind) {
+        if constexpr (Hooked)
+            hooks_->onTableEvent(k.op, kind, static_cast<uint32_t>(set),
+                                 st.lookups +
+                                     st.trivialBypassed);
+    };
+
+    uint64_t trivial_result;
+    if (k.filterTrivial && mayBeTrivial(k.op, k.extended, a, b) &&
+        operand::trivial(k.op, k.extended, a, b, trivial_result)) {
+        if constexpr (!probe) {
+            return false; // never installed
+        } else if (k.bypassTrivial) {
+            // Filtered before the table.
+            st.trivialBypassed++;
+            emit(TableEventKind::TrivialBypass);
             return false;
-        result = static_cast<uint64_t>(t->result);
-        return true;
-      }
-      case Operation::FpMul: {
-        auto t = trivialFpMul(fpFromBits(a_bits), fpFromBits(b_bits), ext);
-        if (!t)
-            return false;
-        result = fpBits(t->result);
-        return true;
-      }
-      case Operation::FpDiv: {
-        auto t = trivialFpDiv(fpFromBits(a_bits), fpFromBits(b_bits), ext);
-        if (!t)
-            return false;
-        result = fpBits(t->result);
-        return true;
-      }
-      case Operation::FpSqrt: {
-        auto t = trivialFpSqrt(fpFromBits(a_bits), ext);
-        if (!t)
-            return false;
-        result = fpBits(t->result);
-        return true;
-      }
-      default:
-        return false;
-    }
-}
-
-bool
-MemoTable::mantissaMode() const
-{
-    // The mantissa-only design covers the operations whose result
-    // exponent is a simple function of the operand exponents:
-    // multiply/divide (sum/difference) and square root (halving, with
-    // the exponent's parity folded into the tag since sqrt(m) and
-    // sqrt(2m) have different mantissas).
-    return cfg.tagMode == TagMode::MantissaOnly &&
-           (op == Operation::FpMul || op == Operation::FpDiv ||
-            op == Operation::FpSqrt);
-}
-
-bool
-MemoTable::taggable(uint64_t a_bits, uint64_t b_bits) const
-{
-    if (!mantissaMode())
-        return true;
-    // Mantissa tags collide across numbers with equal fractions (that is
-    // the point), but zero/subnormal/inf/NaN have no meaningful mantissa
-    // identity; those accesses bypass the mantissa-mode table.
-    return fpIsNormal(fpFromBits(a_bits)) &&
-           (isUnary(op) || fpIsNormal(fpFromBits(b_bits)));
-}
-
-uint64_t
-MemoTable::makeTag(uint64_t operand_bits) const
-{
-    if (!mantissaMode())
-        return operand_bits;
-    uint64_t frac = operand_bits & ((uint64_t{1} << fpMantissaBits) - 1);
-    if (op == Operation::FpSqrt) {
-        // Fold the exponent's parity into the tag: the result
-        // mantissa depends on it.
-        int e = static_cast<int>((operand_bits >> fpMantissaBits) &
-                                 0x7ff) -
-                fpExponentBias;
-        frac |= static_cast<uint64_t>(e & 1) << fpMantissaBits;
-    }
-    return frac;
-}
-
-uint64_t
-MemoTable::indexOf(uint64_t a_bits, uint64_t b_bits) const
-{
-    if (indexBits == 0)
-        return 0;
-    if (op == Operation::IntMul)
-        return indexInt(a_bits, b_bits, indexBits);
-    if (isUnary(op))
-        return indexFpUnary(a_bits, indexBits);
-    if (cfg.hashScheme == HashScheme::Additive)
-        return indexFpSum(a_bits, b_bits, indexBits);
-    return indexFp(a_bits, b_bits, indexBits);
-}
-
-bool
-MemoTable::reconstruct(uint64_t a_bits, uint64_t b_bits, uint64_t frac,
-                       int delta, uint64_t &result) const
-{
-    double a = fpFromBits(a_bits);
-    int ea = static_cast<int>(fpBiasedExponent(a));
-    unsigned sign;
-    int e;
-    if (op == Operation::FpSqrt) {
-        if (fpSign(a))
-            return false; // sqrt of a negative: not representable
-        sign = 0;
-        int ea_u = ea - fpExponentBias;
-        int parity = ea_u & 1;
-        e = (ea_u - parity) / 2 + delta + fpExponentBias;
-    } else {
-        double b = fpFromBits(b_bits);
-        sign = fpSign(a) ^ fpSign(b);
-        int eb = static_cast<int>(fpBiasedExponent(b));
-        e = op == Operation::FpMul
-                ? ea + eb - fpExponentBias + delta
-                : ea - eb + fpExponentBias + delta;
-    }
-    if (e < 1 || e > 2046)
-        return false;
-    result = fpBits(fpCompose(sign, static_cast<unsigned>(e), frac));
-    return true;
-}
-
-bool
-MemoTable::derivePayload(uint64_t a_bits, uint64_t b_bits,
-                         uint64_t result_bits, uint64_t &frac,
-                         int8_t &delta) const
-{
-    double r = fpFromBits(result_bits);
-    if (!fpIsNormal(r))
-        return false;
-    double a = fpFromBits(a_bits);
-    int ea = static_cast<int>(fpBiasedExponent(a));
-    int er = static_cast<int>(fpBiasedExponent(r));
-    int d;
-    if (op == Operation::FpSqrt) {
-        if (fpSign(a))
-            return false;
-        int ea_u = ea - fpExponentBias;
-        int parity = ea_u & 1;
-        d = (er - fpExponentBias) - (ea_u - parity) / 2;
-    } else {
-        double b = fpFromBits(b_bits);
-        int eb = static_cast<int>(fpBiasedExponent(b));
-        d = op == Operation::FpMul
-                ? er - (ea + eb - fpExponentBias)
-                : er - (ea - eb + fpExponentBias);
-    }
-    if (d < -2 || d > 2)
-        return false;
-    frac = fpFraction(r);
-    delta = static_cast<int8_t>(d);
-    // Safety: the payload must reproduce the exact result.
-    uint64_t check;
-    return reconstruct(a_bits, b_bits, frac, d, check) &&
-           check == result_bits;
-}
-
-bool
-MemoTable::commutableBits(uint64_t a_bits, uint64_t b_bits) const
-{
-    if (!isCommutative(op))
-        return false;
-    if (op == Operation::FpMul && fpIsNaNBits(a_bits) &&
-        fpIsNaNBits(b_bits))
-        return false;
-    return true;
-}
-
-MemoTable::Entry *
-MemoTable::findEntry(uint64_t index, uint64_t tag_a, uint64_t tag_b,
-                     bool allow_swap)
-{
-    Entry *set = &entries[index * cfg.ways];
-    for (unsigned w = 0; w < cfg.ways; w++) {
-        Entry &e = set[w];
-        if (!e.valid)
-            continue;
-        if (e.tagA == tag_a && e.tagB == tag_b)
-            return &e;
-        // Commutative units compare the operands in both orders
-        // (section 2.2).
-        if (allow_swap && e.tagA == tag_b && e.tagB == tag_a)
-            return &e;
-    }
-    return nullptr;
-}
-
-MemoTable::Entry &
-MemoTable::victimEntry(uint64_t index)
-{
-    Entry *set = &entries[index * cfg.ways];
-    for (unsigned w = 0; w < cfg.ways; w++) {
-        if (!set[w].valid)
-            return set[w];
-    }
-    switch (cfg.replacement) {
-      case Replacement::Lru:
-      case Replacement::Fifo: {
-        Entry *victim = &set[0];
-        for (unsigned w = 1; w < cfg.ways; w++) {
-            if (set[w].tick < victim->tick)
-                victim = &set[w];
+        } else {
+            // Integrated: the in-table detector supplies the result.
+            st.lookups++;
+            st.trivialHits++;
+            emit(TableEventKind::TrivialHit);
+            out = trivial_result;
+            return true;
         }
-        return *victim;
-      }
-      case Replacement::Random:
-      default:
-        // xorshift64 keeps runs deterministic.
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        return set[rng % cfg.ways];
     }
+    if constexpr (probe)
+        st.lookups++;
+    if (k.mantissa && !operand::taggable(k.op, true, a, b)) {
+        if constexpr (probe) {
+            st.misses++;
+            emit(TableEventKind::Miss);
+        }
+        return false;
+    }
+    const uint64_t tag_a = operand::tag(k.op, k.mantissa, a);
+    const uint64_t tag_b =
+        k.unary ? 0 : operand::tag(k.op, k.mantissa, b);
+    const bool swap = operand::swappable(k.op, a, b);
+
+    // Way search: the entry holding this pair, in either operand
+    // order for commutative units (section 2.2).
+    Entry *e = nullptr;
+    InfKey key{tag_a, tag_b};
+    Entry *const ways = ents + set * k.ways;
+    if (k.infinite) {
+        if (swap && key.b < key.a)
+            std::swap(key.a, key.b);
+        auto it = infTable.find(key);
+        if (it != infTable.end())
+            e = &it->second;
+    } else {
+        for (unsigned w = 0; w < k.ways; w++) {
+            Entry &c = ways[w];
+            if (c.valid &&
+                ((c.tagA == tag_a && c.tagB == tag_b) ||
+                 (swap && c.tagA == tag_b && c.tagB == tag_a))) {
+                e = &c;
+                break;
+            }
+        }
+    }
+
+    if constexpr (probe) {
+        if (e && k.parity &&
+            entryParity(e->tagA, e->tagB, e->value) != e->parity) {
+            // Soft error detected: drop the entry, take the miss.
+            e->valid = false;
+            e = nullptr;
+            st.parityMisses++;
+            st.misses++;
+            emit(TableEventKind::ParityAbort);
+        } else {
+            if (e) {
+                out = e->value;
+                if (!k.mantissa ||
+                    operand::reconstruct(k.op, a, b, e->value, e->delta,
+                                         out)) {
+                    if (k.lru)
+                        e->tick = ++t;
+                    st.hits++;
+                    emit(TableEventKind::Hit);
+                    return true;
+                }
+                // Unrepresentable reconstruction: a miss, and the
+                // install below rewrites this same entry.
+            }
+            st.misses++;
+            emit(TableEventKind::Miss);
+        }
+    }
+
+    if constexpr (install) {
+        uint64_t value = r;
+        int8_t delta = 0;
+        if (k.mantissa &&
+            !operand::payload(k.op, a, b, r, value, delta))
+            return false;
+        if (e) {
+            // Already present: rewrite in place.
+            if (k.lru)
+                e->tick = ++t;
+        } else {
+            if (k.infinite) {
+                e = &infTable[key];
+            } else {
+                // Victim: the first invalid way, else the policy's
+                // choice (the rng is drawn only for a full set).
+                for (unsigned w = 0; w < k.ways && !e; w++)
+                    if (!ways[w].valid)
+                        e = &ways[w];
+                if (!e) {
+                    if (k.randomVictim) {
+                        // xorshift64 keeps runs deterministic.
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        e = &ways[rng % k.ways];
+                    } else {
+                        // LRU and FIFO both evict the oldest tick;
+                        // only LRU refreshes it on a hit.
+                        e = &ways[0];
+                        for (unsigned w = 1; w < k.ways; w++)
+                            if (ways[w].tick < e->tick)
+                                e = &ways[w];
+                    }
+                    st.evictions++;
+                    emit(TableEventKind::Evict);
+                }
+            }
+            e->valid = true;
+            e->tagA = tag_a;
+            e->tagB = tag_b;
+            e->tick = ++t;
+            st.insertions++;
+            emit(TableEventKind::Insert);
+        }
+        e->value = value;
+        e->delta = delta;
+        e->parity = entryParity(e->tagA, e->tagB, value);
+    }
+    return false;
+}
+
+template <bool Hooked, unsigned Halves>
+std::optional<uint64_t>
+MemoTable::run(const uint64_t *a, const uint64_t *b, const uint64_t *r,
+               size_t n)
+{
+    // A fused block keeps its counters in registers and folds them
+    // back at the end and before each phase close; a single-half call
+    // counts in place, as copying the counters in and out would cost
+    // more than the access itself.
+    constexpr bool block = Halves == (kProbe | kInstall);
+    std::conditional_t<block, MemoStats, MemoStats &> st = stats_;
+    std::conditional_t<block, uint64_t, uint64_t &> t = tick;
+    auto fold = [&] {
+        if constexpr (block) {
+            stats_ = st;
+            tick = t;
+        }
+    };
+    const Shape k = shape_;
+    Entry *const ents = entries.data();
+    bool hit = false;
+    uint64_t out = 0;
+
+    // Phase windows (core/phase.hh) close at the start of the first
+    // access past a boundary, so only calls that begin accesses can
+    // close one. The accesses strip-mine into segments ending at
+    // boundaries; the close is a cold per-window step that folds the
+    // registers back first so stats_ is current for the row's deltas.
+    PhaseAccum *const phase = (Halves & kProbe) ? phase_ : nullptr;
+    uint64_t s = st.lookups + st.trivialBypassed;
+    uint64_t next = 0;
+    if (phase) {
+        // The injected fault sees every boundary one access late.
+        next = phase_->flushedThrough + phase_->window() +
+               (phase_boundary_fault.load(std::memory_order_relaxed) ? 1
+                                                                     : 0);
+    }
+    size_t i = 0;
+    while (i < n) {
+        size_t stop = n;
+        if (phase) {
+            if (s == next) {
+                fold();
+                phaseFlush();
+                next += phase_->window();
+            }
+            // The close uses exact equality, so when s has already
+            // passed next (only under the injected boundary fault)
+            // the unsigned underflow makes the segment run to the end.
+            uint64_t seg = std::min<uint64_t>(next - s, n - i);
+            stop = i + static_cast<size_t>(seg);
+            s += seg;
+        }
+        for (; i < stop; i++)
+            hit = kernel<Hooked, Halves>(k, ents, st, t, a[i], b[i],
+                                         (Halves & kInstall) ? r[i] : 0,
+                                         out);
+    }
+    fold();
+    if (!hit)
+        return std::nullopt;
+    return out;
 }
 
 std::optional<uint64_t>
 MemoTable::lookup(uint64_t a_bits, uint64_t b_bits)
 {
-    // Lazy window close at access start (core/phase.hh): the
-    // previous access — including the update() a miss triggers — is
-    // fully accounted before its window's row is cut, matching the
-    // batched path's boundary placement bit for bit.
-    if (phase_ && accessStamp() == phaseNextBoundary())
-        phaseFlush();
-
-    uint64_t trivial_result;
-    if (cfg.trivialMode != TrivialMode::CacheAll &&
-        checkTrivial(a_bits, b_bits, trivial_result)) {
-        if (cfg.trivialMode == TrivialMode::NonTrivialOnly) {
-            stats_.trivialBypassed++;
-            if (hooks_)
-                emitEvent(TableEventKind::TrivialBypass,
-                          indexOf(a_bits, b_bits));
-            return std::nullopt;
-        }
-        // Integrated: the detector inside the table supplies the result.
-        stats_.lookups++;
-        stats_.trivialHits++;
-        if (hooks_)
-            emitEvent(TableEventKind::TrivialHit,
-                      indexOf(a_bits, b_bits));
-        return trivial_result;
-    }
-
-    stats_.lookups++;
-    if (!taggable(a_bits, b_bits)) {
-        stats_.misses++;
-        if (hooks_)
-            emitEvent(TableEventKind::Miss, indexOf(a_bits, b_bits));
-        return std::nullopt;
-    }
-
-    uint64_t tag_a = makeTag(a_bits);
-    uint64_t tag_b = isUnary(op) ? 0 : makeTag(b_bits);
-    bool swap_ok = commutableBits(a_bits, b_bits);
-
-    if (cfg.infinite) {
-        InfKey key{tag_a, tag_b};
-        if (swap_ok && key.b < key.a)
-            std::swap(key.a, key.b);
-        auto it = infTable.find(key);
-        if (it != infTable.end()) {
-            uint64_t result = it->second.value;
-            if (mantissaMode() &&
-                !reconstruct(a_bits, b_bits, it->second.value,
-                             it->second.delta, result)) {
-                stats_.misses++;
-                emitEvent(TableEventKind::Miss, 0);
-                return std::nullopt;
-            }
-            stats_.hits++;
-            emitEvent(TableEventKind::Hit, 0);
-            return result;
-        }
-        stats_.misses++;
-        emitEvent(TableEventKind::Miss, 0);
-        return std::nullopt;
-    }
-
-    uint64_t index = indexOf(a_bits, b_bits);
-    if (Entry *e = findEntry(index, tag_a, tag_b, swap_ok)) {
-        if (cfg.parityProtected &&
-            entryParity(e->tagA, e->tagB, e->value) != e->parity) {
-            // Soft error detected: drop the entry, take the miss.
-            e->valid = false;
-            stats_.parityMisses++;
-            stats_.misses++;
-            emitEvent(TableEventKind::ParityAbort, index);
-            return std::nullopt;
-        }
-        uint64_t result = e->value;
-        if (mantissaMode() &&
-            !reconstruct(a_bits, b_bits, e->value, e->delta, result)) {
-            stats_.misses++;
-            emitEvent(TableEventKind::Miss, index);
-            return std::nullopt;
-        }
-        if (cfg.replacement == Replacement::Lru)
-            e->tick = ++tick;
-        stats_.hits++;
-        emitEvent(TableEventKind::Hit, index);
-        return result;
-    }
-    stats_.misses++;
-    emitEvent(TableEventKind::Miss, index);
-    return std::nullopt;
+    return hooks_ ? run<true, kProbe>(&a_bits, &b_bits, nullptr, 1)
+                  : run<false, kProbe>(&a_bits, &b_bits, nullptr, 1);
 }
 
 void
 MemoTable::update(uint64_t a_bits, uint64_t b_bits, uint64_t result_bits)
 {
-    uint64_t trivial_result;
-    if (cfg.trivialMode != TrivialMode::CacheAll &&
-        checkTrivial(a_bits, b_bits, trivial_result)) {
-        return;
-    }
-    if (!taggable(a_bits, b_bits))
-        return;
-
-    uint64_t value = result_bits;
-    int8_t delta = 0;
-    if (mantissaMode()) {
-        uint64_t frac;
-        if (!derivePayload(a_bits, b_bits, result_bits, frac, delta))
-            return;
-        value = frac;
-    }
-
-    uint64_t tag_a = makeTag(a_bits);
-    uint64_t tag_b = isUnary(op) ? 0 : makeTag(b_bits);
-    bool swap_ok = commutableBits(a_bits, b_bits);
-
-    if (cfg.infinite) {
-        InfKey key{tag_a, tag_b};
-        if (swap_ok && key.b < key.a)
-            std::swap(key.a, key.b);
-        auto [it, inserted] = infTable.try_emplace(key,
-                                                   InfValue{value, delta});
-        if (inserted) {
-            stats_.insertions++;
-            emitEvent(TableEventKind::Insert, 0);
-        } else {
-            it->second = InfValue{value, delta};
-        }
-        return;
-    }
-
-    uint64_t index = indexOf(a_bits, b_bits);
-    if (Entry *e = findEntry(index, tag_a, tag_b, swap_ok)) {
-        // Already present (e.g. refreshed by a racing unit); rewrite.
-        e->value = value;
-        e->delta = delta;
-        e->parity = entryParity(e->tagA, e->tagB, value);
-        if (cfg.replacement == Replacement::Lru)
-            e->tick = ++tick;
-        return;
-    }
-    Entry &victim = victimEntry(index);
-    if (victim.valid) {
-        stats_.evictions++;
-        emitEvent(TableEventKind::Evict, index);
-    }
-    victim.valid = true;
-    victim.tagA = tag_a;
-    victim.tagB = tag_b;
-    victim.value = value;
-    victim.delta = delta;
-    victim.parity = entryParity(tag_a, tag_b, value);
-    victim.tick = ++tick;
-    stats_.insertions++;
-    emitEvent(TableEventKind::Insert, index);
+    if (hooks_)
+        run<true, kInstall>(&a_bits, &b_bits, &result_bits, 1);
+    else
+        run<false, kInstall>(&a_bits, &b_bits, &result_bits, 1);
 }
 
 void
 MemoTable::probeBlock(const uint64_t *a_bits, const uint64_t *b_bits,
                       const uint64_t *result_bits, size_t n)
 {
-    // An attached observer must see the exact per-access event stream;
-    // keep the scalar path, which emits through emitEvent().
-    if (hooks_) {
-        for (size_t i = 0; i < n; i++) {
-            if (!lookup(a_bits[i], b_bits[i]))
-                update(a_bits[i], b_bits[i], result_bits[i]);
-        }
-        return;
-    }
-
-    // Per-table invariants, hoisted out of the access loop. Every
-    // branch below mirrors one path of lookup()/update(); the stat
-    // counters, tick bumps and rng draws happen in the same order as
-    // the scalar pair, so the final table state is bit-identical.
-    const bool filter_trivial = cfg.trivialMode != TrivialMode::CacheAll;
-    const bool bypass_trivial =
-        cfg.trivialMode == TrivialMode::NonTrivialOnly;
-    const bool mant = mantissaMode();
-    const bool unary = isUnary(op);
-    const bool lru = cfg.replacement == Replacement::Lru;
-    const bool random_repl = cfg.replacement == Replacement::Random;
-    const bool parity = cfg.parityProtected;
-    const bool infinite = cfg.infinite;
-    const bool ext = cfg.extendedTrivial;
-
-    // Tag, commutativity and set-index decisions, resolved once; the
-    // scalar helpers re-derive them from the config on every call.
-    const bool commutative = isCommutative(op);
-    const unsigned n_ways = cfg.ways;
-    const unsigned ib = indexBits;
-    const uint64_t ib_mask =
-        ib >= 64 ? ~uint64_t{0} : (uint64_t{1} << ib) - 1;
-    enum { IdxNone, IdxInt, IdxUnary, IdxSum, IdxXor };
-    const int idx_kind =
-        ib == 0             ? IdxNone
-        : op == Operation::IntMul ? IdxInt
-        : unary             ? IdxUnary
-        : cfg.hashScheme == HashScheme::Additive ? IdxSum
-                                                 : IdxXor;
-    Entry *const ents = entries.data();
-
-    // Operation shape for the trivial pre-filter below.
-    const bool qr_int = op == Operation::IntMul;
-    const bool qr_fpmul = op == Operation::FpMul;
-    const bool qr_fpdiv = op == Operation::FpDiv;
-    const bool qr_fpsqrt = op == Operation::FpSqrt;
-    constexpr uint64_t kOneBits = 0x3ff0000000000000ULL;
-    constexpr uint64_t kNegOneBits = 0xbff0000000000000ULL;
-
-    // Counter and tick state lives in registers for the whole block;
-    // one fold-back below keeps the members off the per-access path.
-    uint64_t n_bypassed = 0, n_lookups = 0, n_trivial_hits = 0;
-    uint64_t n_hits = 0, n_misses = 0, n_parity = 0;
-    uint64_t n_insertions = 0, n_evictions = 0;
-    uint64_t t = tick;
-
-    // Phase-window state (core/phase.hh): the running access stamp
-    // and the stamp of the next window close. Every iteration of the
-    // hot loop consumes exactly one access, so the block strip-mines
-    // into segments ending at window boundaries — the per-access path
-    // carries no phase bookkeeping at all, and the close is a cold
-    // per-window step that folds the registers back first so stats_
-    // is current for the row's deltas.
-    const bool phase_on = phase_ != nullptr;
-    const uint64_t phase_w = phase_on ? phase_->window() : 0;
-    uint64_t s = stats_.lookups + stats_.trivialBypassed;
-    uint64_t nb = phase_on ? phaseNextBoundary() : 0;
-
-    size_t i = 0;
-    while (i < n) {
-        size_t stop = n;
-        if (phase_on) {
-            if (s == nb) {
-                tick = t;
-                stats_.trivialBypassed += n_bypassed;
-                stats_.lookups += n_lookups;
-                stats_.trivialHits += n_trivial_hits;
-                stats_.hits += n_hits;
-                stats_.misses += n_misses;
-                stats_.parityMisses += n_parity;
-                stats_.insertions += n_insertions;
-                stats_.evictions += n_evictions;
-                n_bypassed = n_lookups = n_trivial_hits = 0;
-                n_hits = n_misses = n_parity = 0;
-                n_insertions = n_evictions = 0;
-                phaseFlush();
-                nb += phase_w;
-            }
-            // Segment length: to the boundary or the block end, whichever
-            // is nearer. The close uses exact equality, so when s has
-            // already passed nb (only reachable under the injected
-            // boundary fault) the unsigned underflow makes room huge and
-            // the old no-further-close semantics carry over unchanged.
-            uint64_t room = nb - s;
-            uint64_t left = n - i;
-            uint64_t seg = room > left ? left : room;
-            stop = i + static_cast<size_t>(seg);
-            s += seg;
-        }
-        for (; i < stop; i++) {
-            uint64_t a = a_bits[i];
-            uint64_t b = b_bits[i];
-
-            // Branch-free trivial pre-filter: a few integer compares
-            // decide whether the operands can possibly be trivial (a
-            // zero / one / extended-set constant is involved). Only those
-            // rare candidates take the full detector, which remains the
-            // single source of truth; everything else skips it on one
-            // well-predicted branch. NaN/inf operands need no test here:
-            // the detectors classify them non-trivial anyway.
-            bool rare = false;
-            if (filter_trivial) {
-                if (qr_int) {
-                    rare = (a == 0) | (b == 0) | (a == 1) | (b == 1);
-                    if (ext)
-                        rare |= (a == ~uint64_t{0}) | (b == ~uint64_t{0});
-                } else if (qr_fpmul) {
-                    rare = ((a << 1) == 0) | ((b << 1) == 0) |
-                           (a == kOneBits) | (b == kOneBits);
-                    if (ext)
-                        rare |= (a == kNegOneBits) | (b == kNegOneBits);
-                } else if (qr_fpdiv) {
-                    // b == ±0 / NaN / inf are non-trivial; a == b (the
-                    // ext DivBySelf test) compares equal as doubles iff
-                    // the bits match, zeros and NaNs having been ruled
-                    // out by the detector itself.
-                    rare = ((a << 1) == 0) | (b == kOneBits);
-                    if (ext)
-                        rare |= (b == kNegOneBits) | (a == b);
-                } else if (qr_fpsqrt) {
-                    rare = ext & (((a << 1) == 0) | (a == kOneBits));
-                }
-            }
-
-            uint64_t trivial_result;
-            if (rare && checkTrivial(a, b, trivial_result)) {
-                if (bypass_trivial) {
-                    // Filtered before the table; update() skips it too.
-                    n_bypassed++;
-                } else {
-                    // Integrated: the in-table detector answers.
-                    n_lookups++;
-                    n_trivial_hits++;
-                }
-                continue;
-            }
-
-            n_lookups++;
-            if (mant && !taggable(a, b)) {
-                n_misses++; // update() skips untaggable operands
-                continue;
-            }
-
-            // makeTag() is the identity outside mantissa mode; the NaN
-            // order guard (commutableBits) only ever bites for FpMul.
-            uint64_t tag_a, tag_b;
-            if (mant) {
-                tag_a = makeTag(a);
-                tag_b = unary ? 0 : makeTag(b);
-            } else {
-                tag_a = a;
-                tag_b = unary ? 0 : b;
-            }
-            bool swap_ok = commutative;
-            if (qr_fpmul)
-                swap_ok = commutative &&
-                          !(fpIsNaNBits(a) && fpIsNaNBits(b));
-
-            if (infinite) {
-                InfKey key{tag_a, tag_b};
-                if (swap_ok && key.b < key.a)
-                    std::swap(key.a, key.b);
-                auto it = infTable.find(key);
-                bool present = it != infTable.end();
-                if (present) {
-                    uint64_t result = it->second.value;
-                    if (!mant || reconstruct(a, b, it->second.value,
-                                             it->second.delta, result)) {
-                        n_hits++;
-                        continue;
-                    }
-                    // Reconstruct failed: a miss, then update() rewrites
-                    // the existing entry in place (no insertion counted).
-                }
-                n_misses++;
-                uint64_t value = result_bits[i];
-                int8_t delta = 0;
-                if (mant) {
-                    uint64_t frac;
-                    if (!derivePayload(a, b, result_bits[i], frac, delta))
-                        continue;
-                    value = frac;
-                }
-                if (present) {
-                    it->second = InfValue{value, delta};
-                } else {
-                    infTable.emplace(key, InfValue{value, delta});
-                    n_insertions++;
-                }
-                continue;
-            }
-
-            uint64_t index;
-            switch (idx_kind) {
-              case IdxInt:
-                index = (a ^ b) & ib_mask;
-                break;
-              case IdxUnary:
-                index = detail::topMantissa(a, ib);
-                break;
-              case IdxSum:
-                index = (detail::topMantissa(a, ib) +
-                         detail::topMantissa(b, ib)) &
-                        ib_mask;
-                break;
-              case IdxXor:
-                index = detail::topMantissa(a, ib) ^
-                        detail::topMantissa(b, ib);
-                break;
-              default:
-                index = 0;
-            }
-
-            // findEntry(), unrolled here over hoisted geometry: the first
-            // way matching in direct or (when allowed) swapped order.
-            Entry *const set = ents + index * n_ways;
-            Entry *e = nullptr;
-            for (unsigned w = 0; w < n_ways; w++) {
-                Entry &c = set[w];
-                if (!c.valid)
-                    continue;
-                if ((c.tagA == tag_a && c.tagB == tag_b) ||
-                    (swap_ok && c.tagA == tag_b && c.tagB == tag_a)) {
-                    e = &c;
-                    break;
-                }
-            }
-            Entry *rewrite = nullptr;
-            if (e) {
-                if (parity &&
-                    entryParity(e->tagA, e->tagB, e->value) != e->parity) {
-                    // Soft error: drop the entry; update() then takes the
-                    // victim path (the slot just freed, or an earlier
-                    // invalid way — same scan as the scalar pair).
-                    e->valid = false;
-                    n_parity++;
-                    n_misses++;
-                } else {
-                    uint64_t result = e->value;
-                    if (mant &&
-                        !reconstruct(a, b, e->value, e->delta, result)) {
-                        n_misses++;
-                        rewrite = e; // update() finds this same entry
-                    } else {
-                        if (lru)
-                            e->tick = ++t;
-                        n_hits++;
-                        continue;
-                    }
-                }
-            } else {
-                n_misses++;
-            }
-
-            // Miss path: install, mirroring update() with the trivial,
-            // taggability and tag computations already done above.
-            uint64_t value = result_bits[i];
-            int8_t delta = 0;
-            if (mant) {
-                uint64_t frac;
-                if (!derivePayload(a, b, result_bits[i], frac, delta))
-                    continue;
-                value = frac;
-            }
-            if (rewrite) {
-                rewrite->value = value;
-                rewrite->delta = delta;
-                rewrite->parity =
-                    entryParity(rewrite->tagA, rewrite->tagB, value);
-                if (lru)
-                    rewrite->tick = ++t;
-                continue;
-            }
-            // victimEntry(), same scan order: first invalid way, else the
-            // policy's choice (the rng is drawn only for a full set).
-            Entry *victim = nullptr;
-            for (unsigned w = 0; w < n_ways; w++) {
-                if (!set[w].valid) {
-                    victim = &set[w];
-                    break;
-                }
-            }
-            if (!victim) {
-                if (random_repl) {
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
-                    victim = &set[rng % n_ways];
-                } else {
-                    victim = &set[0];
-                    for (unsigned w = 1; w < n_ways; w++) {
-                        if (set[w].tick < victim->tick)
-                            victim = &set[w];
-                    }
-                }
-                n_evictions++;
-            }
-            victim->valid = true;
-            victim->tagA = tag_a;
-            victim->tagB = tag_b;
-            victim->value = value;
-            victim->delta = delta;
-            victim->parity = entryParity(tag_a, tag_b, value);
-            victim->tick = ++t;
-            n_insertions++;
-        }
-    }
-
-    tick = t;
-    stats_.trivialBypassed += n_bypassed;
-    stats_.lookups += n_lookups;
-    stats_.trivialHits += n_trivial_hits;
-    stats_.hits += n_hits;
-    stats_.misses += n_misses;
-    stats_.parityMisses += n_parity;
-    stats_.insertions += n_insertions;
-    stats_.evictions += n_evictions;
+    if (hooks_)
+        run<true, kProbe | kInstall>(a_bits, b_bits, result_bits, n);
+    else
+        run<false, kProbe | kInstall>(a_bits, b_bits, result_bits, n);
 }
 
 } // namespace memo

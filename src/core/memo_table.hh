@@ -94,14 +94,13 @@ class MemoTable
     /**
      * Batched replay probe: for each of the @p n accesses, perform
      * lookup(a_bits[i], b_bits[i]) and, on a miss, update() with
-     * result_bits[i] — the replay hot loop, fused and devirtualized.
+     * result_bits[i] — the replay hot loop.
      *
-     * Exactly equivalent to the scalar calls: the same statistics,
-     * entry states, LRU tick sequence and replacement RNG draws. The
-     * fast path hoists the per-access mode tests (trivial handling,
-     * tag mode, geometry, replacement, parity) out of the loop; when
-     * an observer is attached via setHooks() the scalar path is taken
-     * instead so the emitted event stream is unchanged.
+     * lookup(), update() and probeBlock() run one per-access kernel,
+     * so probeBlock(n) is exactly n lookup/update pairs: the same
+     * statistics, entry states, LRU tick sequence, replacement RNG
+     * draws, TableHooks events and phase rows, whatever the block
+     * boundaries.
      */
     void probeBlock(const uint64_t *a_bits, const uint64_t *b_bits,
                     const uint64_t *result_bits, size_t n);
@@ -129,8 +128,10 @@ class MemoTable
      * Attach (or with nullptr detach) a transaction observer; every
      * hit/miss/insert/evict/trivial/parity event is reported to it.
      * The observer is borrowed, not owned, and must outlive the table
-     * or be detached first. Costs one null test per access when
-     * detached.
+     * or be detached first. The choice is made once per call (per
+     * block for probeBlock()): an attached observer runs a
+     * compile-time instance of the same kernel that also emits, and a
+     * detached one costs nothing per access.
      */
     void setHooks(TableHooks *hooks) { hooks_ = hooks; }
 
@@ -142,10 +143,11 @@ class MemoTable
      * table then closes one PhaseWindow row into it per
      * @ref PhaseAccum::window accesses (see core/phase.hh for the
      * boundary rule). The accumulator is borrowed, not owned, and is
-     * re-based at the current access stamp on attach. Unlike
-     * TableHooks, phase collection keeps the batched probeBlock()
-     * path: boundaries are found with one register compare per
-     * access. Costs one hoisted null test per block when detached.
+     * re-based at the current access stamp on attach. Each call
+     * strip-mines its accesses into segments ending at window
+     * boundaries, so the per-access path carries no phase
+     * bookkeeping; a detached accumulator costs one null test per
+     * call.
      */
     void
     setPhaseAccum(PhaseAccum *accum)
@@ -185,13 +187,13 @@ class MemoTable
   private:
     struct Entry
     {
-        bool valid = false;
-        bool parity = false; //!< stored parity over tags and value
         uint64_t tagA = 0;
         uint64_t tagB = 0;
         uint64_t value = 0;
-        int8_t delta = 0;   //!< exponent adjustment (MantissaOnly mode)
         uint64_t tick = 0;  //!< LRU/FIFO ordering
+        int8_t delta = 0;   //!< exponent adjustment (MantissaOnly mode)
+        bool valid = false;
+        bool parity = false; //!< stored parity over tags and value
     };
 
     /** Key of the infinite (fully associative, unbounded) table. */
@@ -215,80 +217,68 @@ class MemoTable
         }
     };
 
-    struct InfValue
+    /**
+     * The kernel's per-table invariants, derived once in the
+     * constructor (the operation and config never change after it)
+     * and copied into locals by every run().
+     */
+    struct Shape
     {
-        uint64_t value;
-        int8_t delta;
+        Operation op;
+        HashScheme hash;
+        unsigned ways;
+        unsigned indexBits;  //!< log2(sets); 0 when infinite
+        bool filterTrivial;  //!< trivial operands are detected
+        bool bypassTrivial;  //!< ... and bypass the table
+        bool extended;       //!< extended trivial set
+        bool mantissa;       //!< mantissa-only tags
+        bool unary;
+        bool lru;            //!< hits refresh the tick (finite only)
+        bool randomVictim;
+        bool parity;         //!< hits check parity (finite only)
+        bool infinite;
     };
 
-    /** Trivial-op handling at lookup time; sets result on detection. */
-    bool checkTrivial(uint64_t a_bits, uint64_t b_bits, uint64_t &result)
-        const;
-
-    /** True when this access can be tagged under the current tag mode. */
-    bool taggable(uint64_t a_bits, uint64_t b_bits) const;
-
-    /** True iff this table uses mantissa-only tags (fp mul/div only). */
-    bool mantissaMode() const;
-
-    /** Tag of one operand under the current tag mode. */
-    uint64_t makeTag(uint64_t operand_bits) const;
-
-    /** Set index for an access. */
-    uint64_t indexOf(uint64_t a_bits, uint64_t b_bits) const;
+    /** Which halves of one access a kernel instance performs. */
+    enum : unsigned
+    {
+        kProbe = 1,   //!< lookup: decode, tag search, hit or miss
+        kInstall = 2, //!< update: payload, rewrite or victim fill
+    };
 
     /**
-     * Reconstruct the full result from a mantissa-mode entry.
-     * @return false when the reconstructed exponent is unrepresentable.
+     * One MEMO-TABLE access (section 2): decode, then the probe and/or
+     * install halves selected by @p Halves, counting into @p st and
+     * @p t. Emits TableHooks events iff @p Hooked. @return true on a
+     * hit (result in @p out).
      */
-    bool reconstruct(uint64_t a_bits, uint64_t b_bits, uint64_t frac,
-                     int delta, uint64_t &result) const;
+    template <bool Hooked, unsigned Halves>
+    bool kernel(const Shape &k, Entry *ents, MemoStats &st, uint64_t &t,
+                uint64_t a, uint64_t b, uint64_t r, uint64_t &out);
 
     /**
-     * Derive the mantissa-mode payload (result fraction and exponent
-     * delta). @return false when the result cannot be represented.
+     * Run the kernel over @p n accesses, closing phase windows between
+     * segments. A fused block (both halves) holds its counters in
+     * locals; single-half calls count in place. @p r may be null
+     * without kInstall. @return the last access's result on a hit.
      */
-    bool derivePayload(uint64_t a_bits, uint64_t b_bits,
-                       uint64_t result_bits, uint64_t &frac,
-                       int8_t &delta) const;
-
-    /**
-     * True when swapped-order (commutative) matching preserves bit
-     * transparency for this operand pair. a*b and b*a are bit-identical
-     * except when both operands are NaN: the unit then propagates the
-     * *first* operand's payload, so the swapped-order result differs
-     * and those accesses must match in exact order only.
-     */
-    bool commutableBits(uint64_t a_bits, uint64_t b_bits) const;
-
-    Entry *findEntry(uint64_t index, uint64_t tag_a, uint64_t tag_b,
-                     bool allow_swap);
-    Entry &victimEntry(uint64_t index);
+    template <bool Hooked, unsigned Halves>
+    std::optional<uint64_t> run(const uint64_t *a, const uint64_t *b,
+                                const uint64_t *r, size_t n);
 
     /**
      * Close the window ending at the current access stamp into the
      * attached accumulator (cold path, once per window). Requires
-     * stats_ to be current — probeBlock() folds its register-local
+     * stats_ to be current — run() folds its register-local
      * counters back before calling.
      */
     void phaseFlush();
 
-    /** Stamp at which the open window closes (fault-adjustable). */
-    uint64_t phaseNextBoundary() const;
-
-    /** Report one transaction to the attached observer, if any. */
-    void emitEvent(TableEventKind kind, uint64_t set)
-    {
-        if (hooks_)
-            hooks_->onTableEvent(op, kind, static_cast<uint32_t>(set),
-                                 accessStamp());
-    }
-
     Operation op;
     MemoConfig cfg;
-    unsigned indexBits;
+    Shape shape_;
     std::vector<Entry> entries; //!< sets * ways, set-major
-    std::unordered_map<InfKey, InfValue, InfKeyHash> infTable;
+    std::unordered_map<InfKey, Entry, InfKeyHash> infTable;
     MemoStats stats_;
     TableHooks *hooks_ = nullptr;
     PhaseAccum *phase_ = nullptr;

@@ -10,22 +10,21 @@
  * MemoStats counter plus the table occupancy at the window boundary.
  *
  * The collection contract is the one the batched replay hot loop
- * needs: MemoTable::probeBlock() strip-mines each block into
- * segments ending at window boundaries, so the per-access path
- * carries no phase bookkeeping at all (no per-probe callback, no
- * TableHooks fallback), the scalar lookup()/update() pair mirrors
- * the same boundary rule exactly, and a detached table (the default)
- * pays a single hoisted null test per block. Rows are plain exact
- * integers, so any consumer that folds them in a fixed order
- * serializes bit-identically at any `--jobs` level.
+ * needs: every MemoTable call (a probeBlock() block or a single
+ * lookup()) strip-mines its accesses into segments ending at window
+ * boundaries, so the per-access kernel carries no phase bookkeeping
+ * at all (no per-probe callback), and a detached table (the default)
+ * pays a single null test per call. Rows are plain exact integers,
+ * so any consumer that folds them in a fixed order serializes
+ * bit-identically at any `--jobs` level.
  *
  * Boundary rule: a window covering accesses [start, start+W) is
  * closed lazily at the *start* of the first access at stamp start+W
  * (or by finalize(), which also closes a trailing partial window).
  * Closing at access start — before the access is counted, after the
- * previous access's update() completed — is what makes the scalar
- * and batched paths agree: a miss's insertion lands in the window of
- * the access that caused it on both paths.
+ * previous access's update() completed — puts a miss's insertion in
+ * the window of the access that caused it, whether the access came
+ * in a block or as a lookup()/update() pair.
  */
 
 #ifndef MEMO_CORE_PHASE_HH
@@ -176,7 +175,7 @@ class PhaseAccum
  * Test-only fault injection: when enabled, attached tables detect
  * window boundaries one access late, so every phase row covers a
  * shifted access range. The phase differential tests
- * (tests/test_phase.cc) turn this on to prove the scalar reference
+ * (tests/test_phase.cc) turn this on to prove the reference
  * accumulator they check against has teeth. Never enable outside
  * tests.
  */

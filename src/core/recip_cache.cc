@@ -70,14 +70,4 @@ ReciprocalCache::update(uint64_t b_bits, uint64_t recip_bits)
     stats_.insertions++;
 }
 
-void
-ReciprocalCache::probeBlock(const uint64_t *divisor_bits,
-                            const uint64_t *recip_bits, size_t n)
-{
-    for (size_t i = 0; i < n; i++) {
-        if (!lookup(divisor_bits[i]))
-            update(divisor_bits[i], recip_bits[i]);
-    }
-}
-
 } // namespace memo

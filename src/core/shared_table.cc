@@ -47,19 +47,6 @@ SharedMemoTable::update(unsigned cu_id, uint64_t a_bits, uint64_t b_bits,
 }
 
 void
-SharedMemoTable::probeBlock(const unsigned *cu_ids,
-                            const uint64_t *cycles,
-                            const uint64_t *a_bits,
-                            const uint64_t *b_bits,
-                            const uint64_t *result_bits, size_t n)
-{
-    for (size_t i = 0; i < n; i++) {
-        if (!lookup(cu_ids[i], cycles[i], a_bits[i], b_bits[i]))
-            update(cu_ids[i], a_bits[i], b_bits[i], result_bits[i]);
-    }
-}
-
-void
 SharedMemoTable::reset()
 {
     inner.reset();

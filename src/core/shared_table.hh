@@ -48,16 +48,6 @@ class SharedMemoTable
     void update(unsigned cu_id, uint64_t a_bits, uint64_t b_bits,
                 uint64_t result_bits);
 
-    /**
-     * Batched replay probe: lookup each access and install
-     * result_bits[i] on a miss, identically to the scalar pair (same
-     * port-conflict accounting, cross-unit attribution and inner
-     * table state).
-     */
-    void probeBlock(const unsigned *cu_ids, const uint64_t *cycles,
-                    const uint64_t *a_bits, const uint64_t *b_bits,
-                    const uint64_t *result_bits, size_t n);
-
     void reset(); //!< Invalidate all entries and zero the statistics.
 
     const MemoStats &stats() const { return inner.stats(); } //!< Counters.

@@ -68,6 +68,8 @@ struct MemoStats
     }
 
     void reset() { *this = MemoStats{}; } //!< Zero all counters.
+
+    bool operator==(const MemoStats &) const = default; //!< All equal.
 };
 
 } // namespace memo

@@ -15,11 +15,7 @@
  *    existing host-span + table-event timeline;
  *  - publishPhases() — TimeSeries/Histogram publication through a
  *    StatsRegistry (exact integers only: ratios are scaled to
- *    permille before recording);
- *  - ScalarPhaseReference — an *independent* window accumulator
- *    driven from outside the table via stats() snapshots, the
- *    differential oracle the phase tests (and the injected boundary
- *    fault of core/phase.hh) check the in-table collection against.
+ *    permille before recording).
  */
 
 #ifndef MEMO_OBS_PHASE_HH
@@ -129,47 +125,6 @@ void appendCounterEventsJson(std::ostream &os, bool &first,
  */
 void publishPhases(StatsRegistry &registry,
                    const std::vector<PhaseProfile> &profiles);
-
-/**
- * Independent scalar reference accumulator for differential tests.
- *
- * Tracks windows from *outside* the table: step() is called after
- * each completed scalar access (lookup plus any update) and closes a
- * row whenever the table's stamp reaches the next boundary, using
- * only the public stats()/validEntries() surface. It shares no
- * boundary code with the in-table path, so the injected off-by-one
- * of setPhaseBoundaryFault() (core/phase.hh) shifts the in-table
- * rows but not these — the phase mutation self-test requires the
- * difference to be caught.
- */
-class ScalarPhaseReference
-{
-  public:
-    /**
-     * @param table the table to observe (borrowed; re-based at its
-     *        current stamp)
-     * @param window window length in accesses (> 0)
-     */
-    ScalarPhaseReference(const MemoTable &table, uint64_t window);
-
-    /** Notify that one access (lookup + any update) completed. */
-    void step();
-
-    /** Close the trailing partial window, if any. */
-    void finalize();
-
-    /** Closed windows, oldest first. */
-    const std::vector<PhaseWindow> &rows() const { return rows_; }
-
-  private:
-    void close();
-
-    const MemoTable &table_;
-    uint64_t window_;
-    uint64_t flushedThrough_;
-    MemoStats last_;
-    std::vector<PhaseWindow> rows_;
-};
 
 } // namespace memo::obs
 

@@ -1,16 +1,17 @@
 /**
  * @file
  * memo-scope phase-telemetry tests: the in-table window collection
- * (scalar lookup path and batched probeBlock path) is differentially
- * pinned against obs::ScalarPhaseReference, an accumulator that
- * shares no boundary code with the table; a mutation self-test
- * injects an off-by-one window boundary (setPhaseBoundaryFault) and
- * requires the differential to catch it. The TimeSeries/Histogram
- * primitives are checked for merge-order invariance (the determinism
- * contract of obs::StatsRegistry), the windowed reuse profile is
- * reconciled against the whole-trace ReuseProfile, and the rendered
- * artifacts (phases.json, Chrome-trace counter events, registry
- * publication) are checked byte-deterministic.
+ * (single-access lookup calls and batched probeBlock blocks) is
+ * differentially pinned against rows accumulated from the counters of
+ * a check::ReferenceMemoTable — window bookkeeping and a table that
+ * share no boundary or state-machine code with MemoTable; a mutation
+ * self-test injects an off-by-one window boundary
+ * (setPhaseBoundaryFault) and requires the differential to catch it.
+ * The TimeSeries/Histogram primitives are checked for merge-order
+ * invariance (the determinism contract of obs::StatsRegistry), the
+ * windowed reuse profile is reconciled against the whole-trace
+ * ReuseProfile, and the rendered artifacts (phases.json, Chrome-trace
+ * counter events, registry publication) are checked byte-deterministic.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "analysis/reuse.hh"
 #include "arith/fp.hh"
 #include "check/fuzz.hh"
+#include "check/reference.hh"
 #include "core/bank.hh"
 #include "core/phase.hh"
 #include "img/generate.hh"
@@ -181,26 +183,48 @@ batchedPhases(const Trace &trace, const MemoConfig &cfg,
 }
 
 /**
- * Scalar oracle: a fresh table driven one instruction at a time, with
- * the boundary bookkeeping done entirely outside the table by
- * ScalarPhaseReference.
+ * The oracle: a reference table driven one instruction at a time,
+ * with the window bookkeeping done entirely outside it from counter
+ * snapshots. It shares no boundary code with the in-table path, so
+ * the injected off-by-one of setPhaseBoundaryFault() shifts the
+ * in-table rows but not these.
  */
 std::vector<PhaseWindow>
 referenceRows(const Trace &trace, const MemoConfig &cfg, Operation op,
               uint64_t window)
 {
-    MemoTable table(op, cfg);
-    obs::ScalarPhaseReference ref(table, window);
+    check::ReferenceMemoTable table(op, cfg);
+    std::vector<PhaseWindow> rows;
+    uint64_t start = 0;
+    MemoStats last;
+    auto stamp = [&] {
+        return table.stats().lookups + table.stats().trivialBypassed;
+    };
+    auto close = [&] {
+        if (stamp() == start)
+            return;
+        PhaseWindow row;
+        row.start = start;
+        row.length = stamp() - start;
+        row.stats = statsDelta(table.stats(), last);
+        row.occupancy = table.validEntries();
+        rows.push_back(row);
+        last = table.stats();
+        start = stamp();
+    };
     for (const Instruction &inst : trace) {
         auto o = memoOperation(inst.cls);
         if (!o || *o != op)
             continue;
         if (!table.lookup(inst.a, inst.b))
             table.update(inst.a, inst.b, inst.result);
-        ref.step();
+        // One access advances the stamp by exactly one, so equality
+        // suffices and each access closes at most one window.
+        if (stamp() == start + window)
+            close();
     }
-    ref.finalize();
-    return ref.rows();
+    close(); // the trailing partial window
+    return rows;
 }
 
 TEST(PhaseSeries, TimeSeriesAddMergeSerialize)
@@ -325,21 +349,16 @@ TEST(PhaseDifferential, ScalarInTablePathMatchesReference)
                 MemoTable table(op, cfg);
                 PhaseAccum accum(w);
                 table.setPhaseAccum(&accum);
-                MemoTable oracle(op, cfg);
-                obs::ScalarPhaseReference ref(oracle, w);
                 for (const Instruction &inst : trace) {
                     auto o = memoOperation(inst.cls);
                     if (!o || *o != op)
                         continue;
                     if (!table.lookup(inst.a, inst.b))
                         table.update(inst.a, inst.b, inst.result);
-                    if (!oracle.lookup(inst.a, inst.b))
-                        oracle.update(inst.a, inst.b, inst.result);
-                    ref.step();
                 }
                 table.finalizePhases();
-                ref.finalize();
-                expectRowsEq(accum.rows(), ref.rows(),
+                expectRowsEq(accum.rows(),
+                             referenceRows(trace, cfg, op, w),
                              "scalar/" + cname + "/w" +
                                  std::to_string(w) + "/" +
                                  std::string(operationName(op)));

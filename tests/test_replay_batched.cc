@@ -1,30 +1,37 @@
 /**
  * @file
- * Differential harness for the batched replay hot loop: replayMemo()
- * (blocked columnar passes + MemoTable::probeBlock) must be bit-exact
- * against replayMemoReference() (the retained scalar oracle) — same
- * statistics, same entry states, same subsequent behaviour — for
- * every table mode, every Khoros kernel trace, odd trace lengths
- * around the block size, and adversarial FP operands. The batch-probe
- * APIs of the other table variants (shared, tiered, reuse buffer,
- * reciprocal cache) are pinned against their scalar lookup/update
- * pairs the same way.
+ * Differential harness for the MEMO-TABLE probe kernel: replayMemo()
+ * (blocked columnar passes + MemoTable::probeBlock), the
+ * single-access lookup()/update() calls of replayMemoReference(), and
+ * direct probeBlock() calls at block sizes from 1 to 4096 must be
+ * bit-exact against check::ReferenceMemoTable, the independent naive
+ * table — same statistics, same entry states, same subsequent
+ * behaviour, same response to soft-error bit flips — for every table
+ * mode, every Khoros kernel trace, odd trace lengths around the block
+ * size, and adversarial FP operands. A recording TableHooks pins the
+ * event stream: probeBlock() at any block size emits exactly the
+ * (op, kind, set, stamp) sequence of per-access calls, and the
+ * per-kind counts equal the statistics. The single-access halves are
+ * also pinned out of pair, as the shared and tiered tables call them:
+ * installs with no lookup, lookups with no install, port conflicts
+ * and L2-to-L1 promotions.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/experiment.hh"
 #include "arith/fp.hh"
 #include "check/fuzz.hh"
+#include "check/reference.hh"
 #include "core/bank.hh"
-#include "core/recip_cache.hh"
-#include "core/reuse_buffer.hh"
 #include "core/shared_table.hh"
 #include "core/tiered_table.hh"
 #include "img/generate.hh"
@@ -52,18 +59,40 @@ expectStatsEq(const MemoStats &a, const MemoStats &b,
         << what << ": parityMisses";
 }
 
-constexpr Operation bank_ops[] = {
-    Operation::IntMul, Operation::FpMul,  Operation::FpDiv,
-    Operation::FpSqrt, Operation::FpLog,  Operation::FpSin,
-    Operation::FpCos,  Operation::FpExp,
-};
+/** One ReferenceMemoTable per unit of MemoBank::standard(). */
+std::map<Operation, check::ReferenceMemoTable>
+referenceBank(const MemoConfig &cfg)
+{
+    std::map<Operation, check::ReferenceMemoTable> refs;
+    for (Operation op :
+         {Operation::IntMul, Operation::FpMul, Operation::FpDiv})
+        refs.try_emplace(op, op, cfg);
+    return refs;
+}
+
+/** Replay @p trace through the reference tables, in trace order. */
+void
+referenceReplay(const Trace &trace,
+                std::map<Operation, check::ReferenceMemoTable> &refs)
+{
+    for (const Instruction &inst : trace) {
+        auto op = memoOperation(inst.cls);
+        if (!op)
+            continue;
+        auto it = refs.find(*op);
+        if (it == refs.end())
+            continue;
+        if (!it->second.lookup(inst.a, inst.b))
+            it->second.update(inst.a, inst.b, inst.result);
+    }
+}
 
 /**
- * Replay @p trace through the batched path and the scalar oracle on
- * identically configured banks and require equal statistics and entry
- * counts; then replay it once more on both (scalar), so a divergence
- * in *stored state* (not just counters) shows up as diverging hit
- * counts on the second pass.
+ * Replay @p trace twice through the batched path, the single-access
+ * path and the reference on identically configured tables, requiring
+ * equal statistics and entry counts after each pass; the second pass
+ * runs on the state the first left behind, so a divergence in
+ * *stored state* (not just counters) shows up as diverging counts.
  */
 void
 expectReplayEquivalent(const Trace &trace, const MemoConfig &cfg,
@@ -71,30 +100,25 @@ expectReplayEquivalent(const Trace &trace, const MemoConfig &cfg,
 {
     MemoBank batched = MemoBank::standard(cfg);
     MemoBank scalar = MemoBank::standard(cfg);
-    replayMemo(trace, batched);
-    replayMemoReference(trace, scalar);
-    for (Operation op : bank_ops) {
-        const MemoTable *tb = batched.table(op);
-        const MemoTable *ts = scalar.table(op);
-        ASSERT_EQ(tb == nullptr, ts == nullptr);
-        if (!tb)
-            continue;
-        expectStatsEq(tb->stats(), ts->stats(),
-                      what + " pass1 " +
-                          std::string(operationName(op)));
-        EXPECT_EQ(tb->validEntries(), ts->validEntries())
-            << what << " " << operationName(op) << ": validEntries";
-    }
-    // Second pass exercises the state the first pass left behind.
-    replayMemoReference(trace, batched);
-    replayMemoReference(trace, scalar);
-    for (Operation op : bank_ops) {
-        const MemoTable *tb = batched.table(op);
-        if (!tb)
-            continue;
-        expectStatsEq(tb->stats(), scalar.table(op)->stats(),
-                      what + " pass2 " +
-                          std::string(operationName(op)));
+    auto refs = referenceBank(cfg);
+    for (int pass = 1; pass <= 2; pass++) {
+        replayMemo(trace, batched);
+        replayMemoReference(trace, scalar);
+        referenceReplay(trace, refs);
+        for (const auto &[op, ref] : refs) {
+            std::string w = what + " pass" + std::to_string(pass) +
+                            " " + std::string(operationName(op));
+            expectStatsEq(batched.table(op)->stats(), ref.stats(),
+                          w + " batched");
+            expectStatsEq(scalar.table(op)->stats(), ref.stats(),
+                          w + " scalar");
+            EXPECT_EQ(batched.table(op)->validEntries(),
+                      ref.validEntries())
+                << w << ": batched validEntries";
+            EXPECT_EQ(scalar.table(op)->validEntries(),
+                      ref.validEntries())
+                << w << ": scalar validEntries";
+        }
     }
 }
 
@@ -132,6 +156,17 @@ configMatrix()
     fifo.replacement = Replacement::Fifo;
     fifo.parityProtected = true;
     cfgs.emplace_back("fifo-parity", fifo);
+
+    MemoConfig lru_parity = base;
+    lru_parity.entries = 8;
+    lru_parity.ways = 2;
+    lru_parity.parityProtected = true;
+    cfgs.emplace_back("lru-parity", lru_parity);
+
+    MemoConfig rnd_mant = mant;
+    rnd_mant.replacement = Replacement::Random;
+    rnd_mant.entries = 16;
+    cfgs.emplace_back("random-mantissa", rnd_mant);
 
     MemoConfig inf = base;
     inf.infinite = true;
@@ -290,7 +325,10 @@ TEST(ReplayBatched, EmptyAndTablelessBanksAreNoOps)
     MemoBank empty_batched, empty_scalar; // no tables attached
     replayMemo(trace, empty_batched);
     replayMemoReference(trace, empty_scalar);
-    for (Operation op : bank_ops) {
+    for (Operation op :
+         {Operation::IntMul, Operation::FpMul, Operation::FpDiv,
+          Operation::FpSqrt, Operation::FpLog, Operation::FpSin,
+          Operation::FpCos, Operation::FpExp}) {
         EXPECT_EQ(empty_batched.table(op), nullptr);
         EXPECT_EQ(empty_scalar.table(op), nullptr);
     }
@@ -301,114 +339,363 @@ TEST(ReplayBatched, EmptyAndTablelessBanksAreNoOps)
     EXPECT_EQ(bank.table(Operation::FpMul)->stats().lookups, 0u);
 }
 
-/** Access streams for the non-bank table variants. */
-struct VariantStream
+/** One table's access stream: operands and unit results. */
+struct OpStream
 {
-    std::vector<uint64_t> pc, cycle, a, b, r;
-    std::vector<unsigned> cu;
+    std::vector<uint64_t> a, b, r;
 };
 
-VariantStream
-variantStream(Operation op, size_t n, uint64_t seed)
+OpStream
+opStream(Operation op, size_t n, uint64_t seed)
 {
     check::FuzzRng rng(seed);
     std::vector<uint64_t> pool_a, pool_b;
-    VariantStream s;
-    uint64_t cyc = 0;
+    OpStream s;
     for (size_t i = 0; i < n; i++) {
-        uint64_t a = edgeDoubleBits(rng, pool_a);
-        uint64_t b = edgeDoubleBits(
-            rng, rng.chance(1, 3) ? pool_a : pool_b);
+        uint64_t a, b;
+        if (op == Operation::IntMul) {
+            a = rng.below(1 << 8);
+            b = rng.chance(1, 4) ? a : rng.below(1 << 8);
+        } else {
+            a = edgeDoubleBits(rng, pool_a);
+            b = isUnary(op) ? 0
+                            : edgeDoubleBits(rng, rng.chance(1, 3)
+                                                      ? pool_a
+                                                      : pool_b);
+        }
         s.a.push_back(a);
         s.b.push_back(b);
         s.r.push_back(check::computeResult(op, a, b));
-        s.pc.push_back(rng.below(24) * 4);
-        s.cu.push_back(static_cast<unsigned>(rng.below(3)));
-        cyc += rng.chance(1, 3) ? 0 : 1;
-        s.cycle.push_back(cyc);
     }
     return s;
 }
 
-TEST(ReplayBatched, SharedTableProbeBlockMatchesScalar)
+/**
+ * Flip one stored bit in the same (set, way) of two tables — a soft
+ * error both must respond to identically. Requires the entry's
+ * validity to agree. @return whether an entry was hit.
+ */
+template <typename A, typename B>
+bool
+flipBoth(A &x, B &y, const MemoConfig &cfg, check::FuzzRng &rng)
 {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{257}}) {
-        VariantStream s = variantStream(Operation::FpMul, n, 11 + n);
-        MemoConfig cfg;
-        SharedMemoTable batched(Operation::FpMul, cfg, 2);
-        SharedMemoTable scalar(Operation::FpMul, cfg, 2);
-        batched.probeBlock(s.cu.data(), s.cycle.data(), s.a.data(),
-                           s.b.data(), s.r.data(), n);
-        for (size_t i = 0; i < n; i++) {
-            if (!scalar.lookup(s.cu[i], s.cycle[i], s.a[i], s.b[i]))
-                scalar.update(s.cu[i], s.a[i], s.b[i], s.r[i]);
+    auto set = static_cast<unsigned>(rng.below(cfg.sets()));
+    auto way = static_cast<unsigned>(rng.below(cfg.ways));
+    auto bit = static_cast<unsigned>(rng.below(64));
+    bool hit = x.injectBitFlip(set, way, bit);
+    EXPECT_EQ(hit, y.injectBitFlip(set, way, bit))
+        << "entry validity diverges at set " << set << " way " << way;
+    return hit;
+}
+
+constexpr Operation stream_ops[] = {
+    Operation::IntMul, Operation::FpMul, Operation::FpDiv,
+    Operation::FpSqrt, Operation::FpLog};
+
+TEST(ReplayBatched, ProbeBlockMatchesReferenceAtEveryBlockSize)
+{
+    const size_t blocks[] = {1, 2, 3, 7, 64, kReplayBlock, 4096};
+    uint64_t parity_misses = 0;
+    uint64_t seed = 300;
+    for (Operation op : stream_ops) {
+        OpStream s = opStream(op, 3 * kReplayBlock + 5, seed++);
+        const size_t n = s.a.size();
+        for (const auto &[cname, cfg] : configMatrix()) {
+            for (size_t block : blocks) {
+                std::string what = std::string(operationName(op)) +
+                                   "/" + cname + "/block" +
+                                   std::to_string(block);
+                MemoTable kernel(op, cfg);
+                check::ReferenceMemoTable ref(op, cfg);
+                check::FuzzRng flips(seed * 31 + block);
+                for (size_t base = 0; base < n; base += block) {
+                    size_t m = std::min(block, n - base);
+                    kernel.probeBlock(s.a.data() + base,
+                                      s.b.data() + base,
+                                      s.r.data() + base, m);
+                    for (size_t i = base; i < base + m; i++)
+                        if (!ref.lookup(s.a[i], s.b[i]))
+                            ref.update(s.a[i], s.b[i], s.r[i]);
+                    if (!cfg.infinite && flips.chance(1, 4))
+                        flipBoth(kernel, ref, cfg, flips);
+                }
+                expectStatsEq(kernel.stats(), ref.stats(), what);
+                EXPECT_EQ(kernel.validEntries(), ref.validEntries())
+                    << what << ": validEntries";
+                parity_misses += ref.stats().parityMisses;
+            }
         }
-        expectStatsEq(batched.stats(), scalar.stats(),
-                      "shared n=" + std::to_string(n));
-        EXPECT_EQ(batched.crossUnitHits(), scalar.crossUnitHits());
-        EXPECT_EQ(batched.portConflicts(), scalar.portConflicts());
+    }
+    // The flips must actually have exercised the parity path.
+    EXPECT_GT(parity_misses, 0u);
+}
+
+/**
+ * lookup() and update() are public halves of the kernel because the
+ * shared and tiered tables call them out of pair: an install with no
+ * lookup before it (a port conflict), a lookup with no install after
+ * it (an L2 hit), and an install after another table's lookup (a
+ * promotion). Any interleaving must match the reference access for
+ * access, returned values included.
+ */
+TEST(ReplayBatched, SingleAccessHalvesMatchReferenceInAnyOrder)
+{
+    uint64_t seed = 700;
+    for (Operation op : stream_ops) {
+        OpStream s = opStream(op, 2 * kReplayBlock + 9, seed++);
+        for (const auto &[cname, cfg] : configMatrix()) {
+            std::string what =
+                std::string(operationName(op)) + "/" + cname;
+            MemoTable kernel(op, cfg);
+            check::ReferenceMemoTable ref(op, cfg);
+            check::FuzzRng order(seed * 17);
+            uint64_t bare_updates = 0, bare_lookups = 0;
+            for (size_t i = 0; i < s.a.size(); i++) {
+                switch (order.below(4)) {
+                case 0: // install without a lookup
+                    kernel.update(s.a[i], s.b[i], s.r[i]);
+                    ref.update(s.a[i], s.b[i], s.r[i]);
+                    bare_updates++;
+                    break;
+                case 1: { // lookup without an install
+                    auto got = kernel.lookup(s.a[i], s.b[i]);
+                    ASSERT_EQ(got, ref.lookup(s.a[i], s.b[i]))
+                        << what << " access " << i;
+                    bare_lookups++;
+                    break;
+                }
+                default: { // the paired access
+                    auto got = kernel.lookup(s.a[i], s.b[i]);
+                    ASSERT_EQ(got, ref.lookup(s.a[i], s.b[i]))
+                        << what << " access " << i;
+                    if (!got) {
+                        kernel.update(s.a[i], s.b[i], s.r[i]);
+                        ref.update(s.a[i], s.b[i], s.r[i]);
+                    }
+                    break;
+                }
+                }
+            }
+            expectStatsEq(kernel.stats(), ref.stats(), what);
+            EXPECT_EQ(kernel.validEntries(), ref.validEntries())
+                << what << ": validEntries";
+            EXPECT_GT(bare_updates, 0u) << what;
+            EXPECT_GT(bare_lookups, 0u) << what;
+        }
     }
 }
 
-TEST(ReplayBatched, TieredTableProbeBlockMatchesScalar)
+/**
+ * SharedMemoTable rejects the lookups beyond its ports each cycle and
+ * then installs the result regardless; its inner table must track a
+ * reference driven by the same call pattern.
+ */
+TEST(ReplayBatched, SharedTableMatchesReferenceUnderPortConflicts)
 {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{257}}) {
-        VariantStream s = variantStream(Operation::FpDiv, n, 23 + n);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{257}, size_t{1031}}) {
+        // Accesses drawn from a small pool of operand pairs, so that
+        // hits, and so the LRU order among them, matter.
+        OpStream pool = opStream(Operation::FpMul, 24, 11 + n);
+        check::FuzzRng sched(23 + n);
+        MemoConfig cfg;
+        cfg.entries = 8;
+        cfg.ways = 2;
+        SharedMemoTable shared(Operation::FpMul, cfg, 2);
+        check::ReferenceMemoTable ref(Operation::FpMul, cfg);
+        uint64_t cycle = 0;
+        for (size_t i = 0; i < n; i++) {
+            auto cu = static_cast<unsigned>(sched.below(3));
+            cycle += sched.chance(1, 3) ? 0 : 1;
+            size_t k = sched.below(pool.a.size());
+            uint64_t a = pool.a[k], b = pool.b[k], r = pool.r[k];
+            uint64_t conflicts = shared.portConflicts();
+            auto got = shared.lookup(cu, cycle, a, b);
+            if (shared.portConflicts() == conflicts) {
+                ASSERT_EQ(got, ref.lookup(a, b))
+                    << "n=" << n << " access " << i;
+            }
+            if (!got) {
+                shared.update(cu, a, b, r);
+                ref.update(a, b, r);
+            }
+        }
+        expectStatsEq(shared.stats(), ref.stats(),
+                      "shared n=" + std::to_string(n));
+        EXPECT_LE(shared.crossUnitHits(), shared.stats().hits);
+        if (n > 100) {
+            EXPECT_GT(shared.portConflicts(), 0u) << "n=" << n;
+            EXPECT_GT(shared.crossUnitHits(), 0u) << "n=" << n;
+        }
+    }
+}
+
+/**
+ * TieredMemoTable promotes L2 hits into L1 and installs misses in
+ * both levels; each level must track its own reference.
+ */
+TEST(ReplayBatched, TieredTableMatchesTwoReferenceLevels)
+{
+    for (size_t n : {size_t{0}, size_t{1}, size_t{257}, size_t{1031}}) {
+        // A pool larger than L1 and about the size of L2, so that
+        // L2 hits and promotions happen.
+        OpStream pool = opStream(Operation::FpDiv, 20, 23 + n);
+        check::FuzzRng sched(29 + n);
         MemoConfig l1;
-        l1.entries = 8;
+        l1.entries = 4;
         l1.ways = 2;
         MemoConfig l2;
-        l2.entries = 64;
+        l2.entries = 16;
         l2.ways = 4;
-        TieredMemoTable batched(Operation::FpDiv, l1, l2);
-        TieredMemoTable scalar(Operation::FpDiv, l1, l2);
-        batched.probeBlock(s.a.data(), s.b.data(), s.r.data(), n);
+        TieredMemoTable tiered(Operation::FpDiv, l1, l2);
+        check::ReferenceMemoTable ref1(Operation::FpDiv, l1);
+        check::ReferenceMemoTable ref2(Operation::FpDiv, l2);
+        uint64_t promotions = 0;
         for (size_t i = 0; i < n; i++) {
-            if (!scalar.lookup(s.a[i], s.b[i]))
-                scalar.update(s.a[i], s.b[i], s.r[i]);
+            size_t k = sched.below(pool.a.size());
+            uint64_t a = pool.a[k], b = pool.b[k], r = pool.r[k];
+            auto got = tiered.lookup(a, b);
+            std::optional<uint64_t> want;
+            unsigned level = 0;
+            if ((want = ref1.lookup(a, b))) {
+                level = 1;
+            } else if ((want = ref2.lookup(a, b))) {
+                ref1.update(a, b, *want);
+                promotions++;
+                level = 2;
+            }
+            ASSERT_EQ(got.has_value(), want.has_value())
+                << "n=" << n << " access " << i;
+            if (got) {
+                EXPECT_EQ(got->resultBits, *want);
+                EXPECT_EQ(got->level, level);
+                continue;
+            }
+            tiered.update(a, b, r);
+            ref1.update(a, b, r);
+            ref2.update(a, b, r);
         }
-        expectStatsEq(batched.l1Stats(), scalar.l1Stats(),
+        expectStatsEq(tiered.l1Stats(), ref1.stats(),
                       "tiered L1 n=" + std::to_string(n));
-        expectStatsEq(batched.l2Stats(), scalar.l2Stats(),
+        expectStatsEq(tiered.l2Stats(), ref2.stats(),
                       "tiered L2 n=" + std::to_string(n));
-        EXPECT_EQ(batched.promotions(), scalar.promotions());
+        EXPECT_EQ(tiered.promotions(), promotions);
+        if (n > 100) {
+            EXPECT_GT(promotions, 0u) << "n=" << n;
+        }
     }
 }
 
-TEST(ReplayBatched, ReuseBufferProbeBlockMatchesScalar)
+/** A TableHooks observer that records every event it is offered. */
+struct EventLog : TableHooks
 {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{257}}) {
-        VariantStream s = variantStream(Operation::FpMul, n, 37 + n);
-        ReuseBuffer batched(32, 4);
-        ReuseBuffer scalar(32, 4);
-        batched.probeBlock(s.pc.data(), s.a.data(), s.b.data(),
-                           s.r.data(), n);
-        for (size_t i = 0; i < n; i++) {
-            if (!scalar.lookup(s.pc[i], s.a[i], s.b[i]))
-                scalar.update(s.pc[i], s.a[i], s.b[i], s.r[i]);
-        }
-        expectStatsEq(batched.stats(), scalar.stats(),
-                      "reuse-buffer n=" + std::to_string(n));
+    struct Event
+    {
+        Operation op;
+        TableEventKind kind;
+        uint32_t set;
+        uint64_t stamp;
+        bool operator==(const Event &) const = default;
+    };
+
+    void
+    onTableEvent(Operation op, TableEventKind kind, uint32_t set,
+                 uint64_t stamp) override
+    {
+        events.push_back({op, kind, set, stamp});
     }
+
+    uint64_t
+    count(TableEventKind kind) const
+    {
+        uint64_t n = 0;
+        for (const Event &e : events)
+            n += e.kind == kind;
+        return n;
+    }
+
+    std::vector<Event> events;
+};
+
+/**
+ * Drive @p s through @p table in blocks of @p block (0: per-access
+ * lookup/update calls), flipping one bit in each of the first ways
+ * at the stream's midpoint so parity-protected tables abort hits.
+ */
+void
+driveHooked(MemoTable &table, const OpStream &s, size_t block)
+{
+    const size_t n = s.a.size();
+    auto run = [&](size_t from, size_t to) {
+        if (block == 0) {
+            for (size_t i = from; i < to; i++)
+                if (!table.lookup(s.a[i], s.b[i]))
+                    table.update(s.a[i], s.b[i], s.r[i]);
+            return;
+        }
+        for (size_t base = from; base < to; base += block)
+            table.probeBlock(s.a.data() + base, s.b.data() + base,
+                             s.r.data() + base,
+                             std::min(block, to - base));
+    };
+    run(0, n / 2);
+    const MemoConfig &cfg = table.config();
+    if (!cfg.infinite)
+        for (unsigned set = 0; set < cfg.sets(); set++)
+            table.injectBitFlip(set, 0, (set * 7) % 64);
+    run(n / 2, n);
 }
 
-TEST(ReplayBatched, RecipCacheProbeBlockMatchesScalar)
+TEST(ReplayBatched, HookEventStreamMatchesPerAccessCalls)
 {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{257}}) {
-        VariantStream s = variantStream(Operation::FpDiv, n, 41 + n);
-        std::vector<uint64_t> recips;
-        for (size_t i = 0; i < n; i++)
-            recips.push_back(fpBits(1.0 / fpFromBits(s.b[i])));
-        ReciprocalCache batched(16, 2);
-        ReciprocalCache scalar(16, 2);
-        batched.probeBlock(s.b.data(), recips.data(), n);
-        for (size_t i = 0; i < n; i++) {
-            if (!scalar.lookup(s.b[i]))
-                scalar.update(s.b[i], recips[i]);
+    uint64_t seed = 500;
+    uint64_t parity_aborts = 0;
+    for (Operation op : stream_ops) {
+        OpStream s = opStream(op, 2 * kReplayBlock + 17, seed++);
+        const size_t blocks[] = {1, 3, kReplayBlock, s.a.size() + 1};
+        for (const auto &[cname, cfg] : configMatrix()) {
+            std::string what =
+                std::string(operationName(op)) + "/" + cname;
+            MemoTable scalar(op, cfg);
+            EventLog want;
+            scalar.setHooks(&want);
+            driveHooked(scalar, s, 0);
+
+            // Every counter increment is reported exactly once.
+            const MemoStats &st = scalar.stats();
+            EXPECT_EQ(want.count(TableEventKind::Hit), st.hits) << what;
+            EXPECT_EQ(want.count(TableEventKind::Miss),
+                      st.misses - st.parityMisses)
+                << what;
+            EXPECT_EQ(want.count(TableEventKind::ParityAbort),
+                      st.parityMisses)
+                << what;
+            EXPECT_EQ(want.count(TableEventKind::Insert), st.insertions)
+                << what;
+            EXPECT_EQ(want.count(TableEventKind::Evict), st.evictions)
+                << what;
+            EXPECT_EQ(want.count(TableEventKind::TrivialHit),
+                      st.trivialHits)
+                << what;
+            EXPECT_EQ(want.count(TableEventKind::TrivialBypass),
+                      st.trivialBypassed)
+                << what;
+            parity_aborts += st.parityMisses;
+
+            for (size_t block : blocks) {
+                MemoTable batched(op, cfg);
+                EventLog got;
+                batched.setHooks(&got);
+                driveHooked(batched, s, block);
+                EXPECT_TRUE(got.events == want.events)
+                    << what << "/block" << block << ": "
+                    << got.events.size() << " events vs "
+                    << want.events.size();
+                expectStatsEq(batched.stats(), st,
+                              what + "/block" + std::to_string(block));
+            }
         }
-        expectStatsEq(batched.stats(), scalar.stats(),
-                      "recip-cache n=" + std::to_string(n));
     }
+    EXPECT_GT(parity_aborts, 0u);
 }
 
 } // anonymous namespace

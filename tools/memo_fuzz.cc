@@ -6,10 +6,11 @@
  *   memo_fuzz --seed 1 --iters 10000 --mutation
  *
  * Exit status 0 means the harness behaved as expected: no invariant
- * violations in a normal campaign, or (with --mutation) all three
+ * violations in a normal campaign, or (with --mutation) all four
  * injected bugs — the tag-comparison bug, the batched-replay
- * block-boundary off-by-one, and the memo-lint lexer
- * newline-accounting fault — were caught. Any other outcome exits 1,
+ * block-boundary off-by-one, the reference table's dropped LRU
+ * refresh, and the memo-lint lexer newline-accounting fault — were
+ * caught. Any other outcome exits 1,
  * printing a shrunk counterexample and a one-line repro.
  */
 
@@ -37,9 +38,10 @@ usage(const char *argv0)
                  "  --iters N    fuzz cases to run (default 1000)\n"
                  "  --stream L   accesses per case (default 256)\n"
                  "  --mutation   self-test: inject a tag-comparison\n"
-                 "               bug, a block-boundary off-by-one and\n"
-                 "               a lint-lexer fault; the harness must\n"
-                 "               catch all three\n"
+                 "               bug, a block-boundary off-by-one, a\n"
+                 "               dropped reference LRU refresh and a\n"
+                 "               lint-lexer fault; the harness must\n"
+                 "               catch all four\n"
                  "  --verbose    progress output every 1000 cases\n"
                  "  --progress   stderr heartbeat (rate/ETA); stdout\n"
                  "               stays byte-identical\n",

@@ -137,7 +137,13 @@ replayMemo(const Trace &trace, MemoBank &bank)
     // Snapshot the attached tables so only this replay's activity is
     // folded into the registry below (tables accumulate across calls).
     auto before = snapshotStats(bank);
+    probeMemo(trace, bank);
+    foldReplayStats(bank, before, trace.size());
+}
 
+void
+probeMemo(const Trace &trace, MemoBank &bank)
+{
     // Devirtualize the per-access table dispatch: one pointer per
     // instruction class, resolved once. Classes without a table in
     // this bank (or not memoizable at all) stay null and their
@@ -164,8 +170,6 @@ replayMemo(const Trace &trace, MemoBank &bank)
                 probeColumns(*tables[c], store.classColumns(
                                              static_cast<InstClass>(c)));
     }
-
-    foldReplayStats(bank, before, trace.size());
 }
 
 void

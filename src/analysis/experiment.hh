@@ -69,6 +69,14 @@ constexpr size_t kReplayBlock = 4096;
 void replayMemo(const Trace &trace, MemoBank &bank);
 
 /**
+ * replayMemo() without the statistics-registry fold: the same table
+ * states and statistics, and no analysis.replay or core.table
+ * counters. For consumers that account for the replay themselves
+ * (the closed-form cycle accounting of check/measure.hh).
+ */
+void probeMemo(const Trace &trace, MemoBank &bank);
+
+/**
  * The per-Instruction replay loop: one lookup()/update() call pair per
  * access. Semantically identical to replayMemo(); kept deliberately
  * simple as the denominator of the replay_speed_gate ratio (batched

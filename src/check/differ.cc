@@ -41,6 +41,50 @@ statsConserved(const MemoStats &s, const char *who)
     return os.str();
 }
 
+std::optional<std::string>
+simResultsDiffer(const SimResult &want, const SimResult &got)
+{
+    auto differ = [](const std::string &field, uint64_t w, uint64_t g)
+        -> std::optional<std::string> {
+        if (w == g)
+            return std::nullopt;
+        return field + ": want " + std::to_string(w) + ", got " +
+               std::to_string(g);
+    };
+    std::optional<std::string> d;
+    if ((d = differ("totalCycles", want.totalCycles, got.totalCycles)) ||
+        (d = differ("annulCycles", want.annulCycles, got.annulCycles)))
+        return d;
+    for (unsigned c = 0; c < numInstClasses; c++) {
+        std::string cls(instClassName(static_cast<InstClass>(c)));
+        const obs::Histogram &wo = want.occupancy[c];
+        const obs::Histogram &go = got.occupancy[c];
+        if ((d = differ("count." + cls, want.count[c], got.count[c])) ||
+            (d = differ("cycles." + cls, want.cycles[c],
+                        got.cycles[c])) ||
+            (d = differ("memoSaved." + cls, want.memoSaved[c],
+                        got.memoSaved[c])))
+            return d;
+        if (wo.counts() != go.counts() || wo.sum() != go.sum())
+            return "occupancy." + cls + ": want " + wo.serialize() +
+                   ", got " + go.serialize();
+    }
+    if (want.memo.size() != got.memo.size())
+        return std::string("memo: table sets differ");
+    for (const auto &[op, st] : want.memo) {
+        auto it = got.memo.find(op);
+        if (it == got.memo.end() || !(it->second == st))
+            return "memo." + std::string(operationName(op)) +
+                   ": statistics differ";
+    }
+    if ((d = differ("l1.accesses", want.l1.accesses, got.l1.accesses)) ||
+        (d = differ("l1.hits", want.l1.hits, got.l1.hits)) ||
+        (d = differ("l2.accesses", want.l2.accesses, got.l2.accesses)) ||
+        (d = differ("l2.hits", want.l2.hits, got.l2.hits)))
+        return d;
+    return std::nullopt;
+}
+
 MemoTableChecker::MemoTableChecker(Operation op, const MemoConfig &cfg,
                                    bool inject_tag_bug)
     : table(op, cfg), shadow(op, cfg), injectTagBug(inject_tag_bug)

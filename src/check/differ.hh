@@ -35,6 +35,7 @@
 #include "core/reuse_buffer.hh"
 #include "core/shared_table.hh"
 #include "core/tiered_table.hh"
+#include "sim/cpu.hh"
 
 namespace memo::check
 {
@@ -42,6 +43,16 @@ namespace memo::check
 /** Sanity of one stats block: allHits + misses == lookups. */
 std::optional<std::string> statsConserved(const MemoStats &s,
                                           const char *who);
+
+/**
+ * The first field where two CPU-model results disagree, or nullopt:
+ * totalCycles, annulCycles, per-class count, cycles, memoSaved and
+ * occupancy, the table statistics and the cache statistics, all
+ * compared as exact integers (the closed-form differential's check,
+ * CpuModel::evaluate against CpuModel::run).
+ */
+std::optional<std::string> simResultsDiffer(const SimResult &want,
+                                            const SimResult &got);
 
 /** MemoTable (any MemoConfig, including infinite) vs the oracle. */
 class MemoTableChecker

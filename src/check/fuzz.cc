@@ -4,10 +4,13 @@
 #include <cmath>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
+#include "analysis/experiment.hh"
 #include "arith/fp.hh"
 #include "check/differ.hh"
 #include "check/reference.hh"
@@ -635,12 +638,34 @@ batchedReplayCase(FuzzRng &rng, uint64_t case_index,
     return f;
 }
 
+/** The Table 9 column name of a trivial-operation mode. */
+const char *
+trivialModeName(TrivialMode mode)
+{
+    switch (mode) {
+      case TrivialMode::CacheAll:
+        return "all";
+      case TrivialMode::NonTrivialOnly:
+        return "non";
+      case TrivialMode::Integrated:
+      default:
+        return "intgr";
+    }
+}
+
 /**
  * Whole-CPU differential: a random instruction trace replayed with
- * and without a random memo bank must retain instruction counts,
- * never get slower, and keep every table's statistics conserved
- * against the per-class dynamic counts. With MEMO_VERIFY the replay
- * additionally asserts bit transparency on every hit (sim/cpu.cc).
+ * and without a random memo bank, under random latencies, must retain
+ * instruction counts, never get slower, and keep every table's
+ * statistics conserved against the per-class dynamic counts. With
+ * MEMO_VERIFY the replay additionally asserts bit transparency on
+ * every hit (sim/cpu.cc).
+ *
+ * The closed form (CpuModel::costs + evaluate) must then reproduce
+ * run() exactly: the baseline, and the memoized run under each
+ * trivial mode, with hit counts from a batched probe of a fresh bank
+ * of the same tables. With an early-out multiplier the closed form
+ * must refuse instead.
  */
 std::optional<FuzzFailure>
 cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
@@ -674,18 +699,30 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
 
     CpuConfig ccfg;
     ccfg.earlyOutIntMul = rng.chance(1, 4);
+    for (unsigned &lat : ccfg.lat.latency)
+        lat = 1 + static_cast<unsigned>(rng.below(48));
     CpuModel cpu(ccfg);
 
     SimResult base = cpu.run(trace);
     SimResult again = cpu.run(trace);
 
-    MemoBank bank;
     Operation memo_ops[] = {Operation::IntMul, Operation::FpMul,
                             Operation::FpDiv, Operation::FpSqrt};
+    std::map<Operation, MemoConfig> tables;
     for (Operation op : memo_ops) {
         if (rng.chance(3, 4))
-            bank.addTable(op, fuzzConfig(rng));
+            tables[op] = fuzzConfig(rng);
     }
+    auto bankOf = [&](std::optional<TrivialMode> mode) {
+        MemoBank b;
+        for (auto [op, cfg] : tables) {
+            if (mode)
+                cfg.trivialMode = *mode;
+            b.addTable(op, cfg);
+        }
+        return b;
+    };
+    MemoBank bank = bankOf(std::nullopt);
     SimResult memod = cpu.run(trace, &bank);
 
     auto fail = [&](const std::string &what) {
@@ -741,6 +778,33 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
                             std::to_string(memod.cyclesOf(cls)) +
                             ", expected " + std::to_string(expect));
         }
+    }
+
+    if (ccfg.earlyOutIntMul) {
+        try {
+            cpu.costs(trace);
+            return fail("closed form accepted an early-out multiplier");
+        } catch (const std::invalid_argument &) {
+            return std::nullopt; // expected: not linear
+        }
+    }
+    const CostVector cv = cpu.costs(trace);
+    if (auto d = simResultsDiffer(base, cpu.evaluate(cv)))
+        return fail("closed-form baseline differs from run(): " + *d);
+    for (TrivialMode mode :
+         {TrivialMode::CacheAll, TrivialMode::NonTrivialOnly,
+          TrivialMode::Integrated}) {
+        MemoBank replayed = bankOf(mode);
+        SimResult want = cpu.run(trace, &replayed);
+        MemoBank probed = bankOf(mode);
+        probeMemo(trace, probed);
+        std::map<Operation, MemoStats> memo;
+        for (const auto &entry : tables)
+            memo[entry.first] = probed.table(entry.first)->stats();
+        if (auto d = simResultsDiffer(want, cpu.evaluate(cv, memo)))
+            return fail(std::string("closed form differs from run() "
+                                    "in trivial mode ") +
+                        trivialModeName(mode) + ": " + *d);
     }
     return std::nullopt;
 }
@@ -1220,6 +1284,25 @@ mutationSelfTest(const FuzzOptions &opts, std::ostream *log)
     bool lru_caught =
         replay_caught(ReplayFault::LruRefreshDropped, "LRU-refresh");
 
+    // The closed-form differential must notice a closed form that
+    // drops Integrated-mode trivial hits.
+    bool closed_form_caught = false;
+    setClosedFormTrivialFault(true);
+    for (uint64_t i = 0; i < opts.iters && !closed_form_caught; i++) {
+        FuzzRng rng = caseRng(opts.seed, i);
+        if (auto f = cpuCase(rng, i, opts)) {
+            if (log)
+                *log << "closed-form mutation caught at case " << i
+                     << ": " << f->what << "\n";
+            closed_form_caught = true;
+        }
+    }
+    setClosedFormTrivialFault(false);
+    if (!closed_form_caught && log)
+        *log << "MUTATION MISSED: injected closed-form trivial-hit "
+                "fault survived "
+             << opts.iters << " cases (seed " << opts.seed << ")\n";
+
     // Last leg: break the lexer's block-comment newline accounting
     // and require the lint oracle's position invariants to notice.
     // Deterministic — one canonical multi-line comment suffices.
@@ -1236,7 +1319,8 @@ mutationSelfTest(const FuzzOptions &opts, std::ostream *log)
                     "survived the lint oracle\n";
     }
 
-    return tag_caught && block_caught && lru_caught && lexer_caught;
+    return tag_caught && block_caught && lru_caught &&
+           closed_form_caught && lexer_caught;
 }
 
 } // namespace memo::check

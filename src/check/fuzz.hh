@@ -8,8 +8,9 @@
  * tag-aliasing and exponent-aliasing patterns, heavy value reuse), and
  * replays it through the differential checkers of differ.hh; one case
  * kind additionally replays a random instruction trace through
- * memoized-vs-baseline CpuModel runs and checks cycle/stats
- * conservation, and another round-trips a random trace through the
+ * memoized-vs-baseline CpuModel runs, checks cycle/stats
+ * conservation and checks the closed form (CpuModel::evaluate)
+ * against run(), and another round-trips a random trace through the
  * spill tier's chunk codec (trace/chunk_codec.hh) — decode must be
  * bit-exact and any single-bit corruption must be rejected with
  * SpillError, and another feeds a mutated pseudo-C++ translation unit
@@ -21,14 +22,16 @@
  * repro.
  *
  * The mutation self-test (mutationSelfTest) deliberately injects
- * four bugs and requires all be caught: a tag-comparison bug — the
+ * five bugs and requires all be caught: a tag-comparison bug — the
  * real table sees operand A with its top 16 bits forced to zero, the
  * oracle sees the true operand — producing false hits; a
  * block-boundary off-by-one in the batched-replay differential — the
  * probeBlock side silently drops the last access of every full block;
  * a ReferenceMemoTable (check/reference.hh) whose LRU hits no longer
  * refresh the entry, which the same kernel-vs-reference differential
- * must flag; and a lexer fault (lint::setLexerFaultInjection) that
+ * must flag; a closed form that drops Integrated-mode trivial hits
+ * (setClosedFormTrivialFault), which the CPU case's closed-form
+ * differential must flag; and a lexer fault (lint::setLexerFaultInjection) that
  * stops counting newlines inside block comments, which the lint
  * oracle's position invariants must trip. CI runs it to prove the
  * oracles have
@@ -133,9 +136,10 @@ std::optional<FuzzFailure> fuzz(const FuzzOptions &opts,
  * Mutation smoke test: rerun the MemoTable differential with an
  * injected tag-comparison bug, the batched-replay differential with
  * an injected block-boundary off-by-one and, separately, with a
- * reference that drops LRU refresh-on-hit, and the memo-lint oracle
+ * reference that drops LRU refresh-on-hit, the CPU case with a
+ * closed form that drops trivial hits, and the memo-lint oracle
  * with an injected lexer newline-accounting bug, requiring the
- * harness to catch all four.
+ * harness to catch all five.
  *
  * @return true when the oracles detected every injected bug
  */

@@ -23,51 +23,6 @@ speedupApps()
     return apps;
 }
 
-AppCycles
-measureAppCycles(const MmKernel &kernel, const LatencyConfig &lat,
-                 bool memo_mul, bool memo_div)
-{
-    CpuConfig cpu_cfg;
-    cpu_cfg.lat = lat;
-    CpuModel cpu(cpu_cfg);
-
-    MemoBank bank;
-    if (memo_mul)
-        bank.addTable(Operation::FpMul, MemoConfig{});
-    if (memo_div)
-        bank.addTable(Operation::FpDiv, MemoConfig{});
-
-    AppCycles acc;
-    for (const auto &named : standardImages()) {
-        // Shared cached trace: the speedup tables call this for up to
-        // three (memo_mul, memo_div) variants and two latency presets
-        // per app, and re-tracing each time dominated their runtime.
-        auto trace = cachedMmKernelTrace(kernel, named, goldenCrop);
-
-        SimResult base = cpu.run(*trace);
-        acc.totalCycles += base.totalCycles;
-        acc.fpDivCycles += base.cyclesOf(InstClass::FpDiv);
-        acc.fpMulCycles += base.cyclesOf(InstClass::FpMul);
-
-        if (MemoTable *t = bank.table(Operation::FpMul))
-            t->flush();
-        if (MemoTable *t = bank.table(Operation::FpDiv))
-            t->flush();
-        SimResult memo = cpu.run(*trace, &bank);
-        acc.memoTotalCycles += memo.totalCycles;
-    }
-
-    if (const MemoTable *t = bank.table(Operation::FpDiv)) {
-        if (t->stats().lookups)
-            acc.hitRatioFpDiv = t->stats().hitRatio();
-    }
-    if (const MemoTable *t = bank.table(Operation::FpMul)) {
-        if (t->stats().lookups)
-            acc.hitRatioFpMul = t->stats().hitRatio();
-    }
-    return acc;
-}
-
 MmSuiteResult
 measureMmSuite()
 {
@@ -106,33 +61,76 @@ measureMmSuite()
     return out;
 }
 
+LatencyConfig
+speedupLatency(SpeedupUnit unit, bool slow)
+{
+    if (!slow)
+        return LatencyConfig::custom(3, 13);
+    switch (unit) {
+      case SpeedupUnit::FpDiv:
+        return LatencyConfig::custom(3, 39);
+      case SpeedupUnit::FpMul:
+        return LatencyConfig::custom(5, 13);
+      case SpeedupUnit::Both:
+      default:
+        return LatencyConfig::custom(5, 39);
+    }
+}
+
 namespace
 {
 
-/** The fast/slow latency scenarios of one speedup table. */
-struct Scenario
+bool
+memoizesMul(SpeedupUnit unit)
 {
-    LatencyConfig fast;
-    LatencyConfig slow;
-    unsigned fastLat; //!< memoized unit's latency, fast scenario
-    unsigned slowLat;
-};
+    return unit != SpeedupUnit::FpDiv;
+}
 
-Scenario
-scenarioOf(SpeedupUnit unit)
+bool
+memoizesDiv(SpeedupUnit unit)
 {
-    switch (unit) {
-      case SpeedupUnit::FpDiv:
-        return {LatencyConfig::custom(3, 13),
-                LatencyConfig::custom(3, 39), 13, 39};
-      case SpeedupUnit::FpMul:
-        return {LatencyConfig::custom(3, 13),
-                LatencyConfig::custom(5, 13), 3, 5};
-      case SpeedupUnit::Both:
-      default:
-        return {LatencyConfig::custom(3, 13),
-                LatencyConfig::custom(5, 39), 0, 0};
-    }
+    return unit != SpeedupUnit::FpMul;
+}
+
+/** One trace's cycle totals from a baseline and a memoized result. */
+AppCycles
+cyclesOf(const SimResult &base, const SimResult &memo)
+{
+    AppCycles c;
+    c.totalCycles = base.totalCycles;
+    c.fpDivCycles = base.cyclesOf(InstClass::FpDiv);
+    c.fpMulCycles = base.cyclesOf(InstClass::FpMul);
+    c.memoTotalCycles = memo.totalCycles;
+    return c;
+}
+
+CpuModel
+speedupCpu(SpeedupUnit unit, bool slow)
+{
+    CpuConfig cfg;
+    cfg.lat = speedupLatency(unit, slow);
+    return CpuModel(cfg);
+}
+
+/** The 32/4 tables of @p unit's memoized run (section 3.3). */
+MemoBank
+speedupBank(SpeedupUnit unit)
+{
+    MemoBank bank;
+    if (memoizesMul(unit))
+        bank.addTable(Operation::FpMul, MemoConfig{});
+    if (memoizesDiv(unit))
+        bank.addTable(Operation::FpDiv, MemoConfig{});
+    return bank;
+}
+
+/** The fast/slow memoized unit latencies of a single-unit table. */
+unsigned
+unitLatency(SpeedupUnit unit, bool slow)
+{
+    LatencyConfig lat = speedupLatency(unit, slow);
+    return unit == SpeedupUnit::FpDiv ? lat[InstClass::FpDiv]
+                                      : lat[InstClass::FpMul];
 }
 
 /** One scenario of a division- or multiplication-only row. */
@@ -172,25 +170,16 @@ combinedCell(const AppCycles &c, unsigned mul_lat, unsigned div_lat)
     return cell;
 }
 
-} // anonymous namespace
-
+/** One speedup table from the per-app cycles of speedupApps(). */
 SpeedupResult
-measureSpeedups(SpeedupUnit unit)
+speedupTable(SpeedupUnit unit, const std::vector<SpeedupCycles> &apps)
 {
-    Scenario sc = scenarioOf(unit);
-    bool memo_mul = unit != SpeedupUnit::FpDiv;
-    bool memo_div = unit != SpeedupUnit::FpMul;
-
     SpeedupResult out;
-    out.rows = exec::sweep(speedupApps(), [&](const std::string &name) {
-        const MmKernel &k = mmKernelByName(name);
-        AppCycles fast =
-            measureAppCycles(k, sc.fast, memo_mul, memo_div);
-        AppCycles slow =
-            measureAppCycles(k, sc.slow, memo_mul, memo_div);
-
+    for (size_t i = 0; i < apps.size(); i++) {
+        const AppCycles &fast = apps[i].cell(unit, false);
+        const AppCycles &slow = apps[i].cell(unit, true);
         SpeedupRow row;
-        row.app = name;
+        row.app = speedupApps()[i];
         if (unit == SpeedupUnit::Both) {
             row.fast = combinedCell(fast, 3, 13);
             row.slow = combinedCell(slow, 5, 39);
@@ -200,11 +189,13 @@ measureSpeedups(SpeedupUnit unit)
                              ? fast.hitRatioFpDiv
                              : fast.hitRatioFpMul;
             row.hit = raw < 0 ? 0.0 : raw;
-            row.fast = singleUnitCell(fast, unit, sc.fastLat, row.hit);
-            row.slow = singleUnitCell(slow, unit, sc.slowLat, row.hit);
+            row.fast = singleUnitCell(fast, unit,
+                                      unitLatency(unit, false), row.hit);
+            row.slow = singleUnitCell(slow, unit,
+                                      unitLatency(unit, true), row.hit);
         }
-        return row;
-    });
+        out.rows.push_back(std::move(row));
+    }
 
     double sum_hit = 0.0, sum_fast = 0.0, sum_slow = 0.0;
     for (const SpeedupRow &row : out.rows) {
@@ -218,6 +209,124 @@ measureSpeedups(SpeedupUnit unit)
     out.avgFast = sum_fast / n;
     out.avgSlow = sum_slow / n;
     return out;
+}
+
+} // anonymous namespace
+
+SpeedupCycles
+speedupCycles(const Trace &trace, const std::vector<SpeedupUnit> &units)
+{
+    // Hits do not depend on latency: one probe per unit serves the
+    // memoized run of every table and FPU.
+    MemoBank bank = speedupBank(SpeedupUnit::Both);
+    probeMemo(trace, bank);
+    SpeedupCycles out;
+    out.fpMul = bank.table(Operation::FpMul)->stats();
+    out.fpDiv = bank.table(Operation::FpDiv)->stats();
+
+    const CostVector cv = CpuModel().costs(trace);
+    for (SpeedupUnit u : units) {
+        std::map<Operation, MemoStats> memo;
+        if (memoizesMul(u))
+            memo[Operation::FpMul] = out.fpMul;
+        if (memoizesDiv(u))
+            memo[Operation::FpDiv] = out.fpDiv;
+        for (bool slow : {false, true}) {
+            CpuModel cpu = speedupCpu(u, slow);
+            out.cell(u, slow) =
+                cyclesOf(cpu.evaluate(cv), cpu.evaluate(cv, memo));
+        }
+    }
+    return out;
+}
+
+SpeedupCycles
+speedupCyclesReference(const Trace &trace,
+                       const std::vector<SpeedupUnit> &units)
+{
+    SpeedupCycles out;
+    for (SpeedupUnit u : units) {
+        for (bool slow : {false, true}) {
+            CpuModel cpu = speedupCpu(u, slow);
+            MemoBank bank = speedupBank(u);
+            SimResult base = cpu.run(trace);
+            SimResult memo = cpu.run(trace, &bank);
+            out.cell(u, slow) = cyclesOf(base, memo);
+            if (const MemoTable *t = bank.table(Operation::FpMul))
+                out.fpMul = t->stats();
+            if (const MemoTable *t = bank.table(Operation::FpDiv))
+                out.fpDiv = t->stats();
+        }
+    }
+    return out;
+}
+
+std::vector<SpeedupCycles>
+measureSpeedupCycles(const std::vector<std::string> &apps,
+                     const std::vector<SpeedupUnit> &units, int max_dim)
+{
+    // Trace-major: one work item per (app, image) trace, fetched once
+    // for every table it contributes to.
+    const auto &images = standardImages();
+    const size_t n_img = images.size();
+    std::vector<SpeedupCycles> per_trace =
+        exec::sweep(apps.size() * n_img, [&](size_t idx) {
+            auto trace =
+                cachedMmKernelTrace(mmKernelByName(apps[idx / n_img]),
+                                    images[idx % n_img], max_dim);
+            return speedupCycles(*trace, units);
+        });
+
+    // Pool each app's images in image order: integer sums, so the
+    // result is independent of scheduling.
+    std::vector<SpeedupCycles> out(apps.size());
+    for (size_t idx = 0; idx < per_trace.size(); idx++) {
+        SpeedupCycles &app = out[idx / n_img];
+        const SpeedupCycles &tr = per_trace[idx];
+        for (unsigned u = 0; u < numSpeedupUnits; u++) {
+            for (unsigned f = 0; f < 2; f++) {
+                AppCycles &acc = app.cells[u][f];
+                const AppCycles &c = tr.cells[u][f];
+                acc.totalCycles += c.totalCycles;
+                acc.fpDivCycles += c.fpDivCycles;
+                acc.fpMulCycles += c.fpMulCycles;
+                acc.memoTotalCycles += c.memoTotalCycles;
+            }
+        }
+        app.fpMul.merge(tr.fpMul);
+        app.fpDiv.merge(tr.fpDiv);
+    }
+    for (SpeedupCycles &app : out) {
+        for (SpeedupUnit u : units) {
+            for (bool slow : {false, true}) {
+                AppCycles &c = app.cell(u, slow);
+                if (memoizesMul(u) && app.fpMul.lookups)
+                    c.hitRatioFpMul = app.fpMul.hitRatio();
+                if (memoizesDiv(u) && app.fpDiv.lookups)
+                    c.hitRatioFpDiv = app.fpDiv.hitRatio();
+            }
+        }
+    }
+    return out;
+}
+
+SpeedupTables
+measureSpeedupTables()
+{
+    std::vector<SpeedupCycles> apps = measureSpeedupCycles(
+        speedupApps(),
+        {SpeedupUnit::FpDiv, SpeedupUnit::FpMul, SpeedupUnit::Both},
+        goldenCrop);
+    return {speedupTable(SpeedupUnit::FpDiv, apps),
+            speedupTable(SpeedupUnit::FpMul, apps),
+            speedupTable(SpeedupUnit::Both, apps)};
+}
+
+SpeedupResult
+measureSpeedups(SpeedupUnit unit)
+{
+    return speedupTable(
+        unit, measureSpeedupCycles(speedupApps(), {unit}, goldenCrop));
 }
 
 EntropyResult

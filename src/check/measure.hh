@@ -11,6 +11,13 @@
  * interactive bench output can never disagree: they are two
  * pretty-printers over the same computation.
  *
+ * The speedup tables use closed-form cycle accounting: each (app,
+ * image) trace is fetched once, reduced to a CostVector
+ * (sim/cpu.hh) and probed once per memoized fp unit, and every cell
+ * of all three tables is then a dot product of counts and latencies
+ * (CpuModel::evaluate) instead of a replay. speedupCyclesReference()
+ * keeps the replaying form as the oracle.
+ *
  * Everything here is deterministic for the same reasons the goldens
  * are: traces come from the process-wide cache, exec::sweep results
  * are index-aligned regardless of thread count, and all aggregation
@@ -20,11 +27,13 @@
 #ifndef MEMO_CHECK_MEASURE_HH
 #define MEMO_CHECK_MEASURE_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
 #include "analysis/experiment.hh"
 #include "analysis/lmfit.hh"
+#include "core/stats.hh"
 #include "sim/latency.hh"
 #include "workloads/workload.hh"
 
@@ -33,30 +42,6 @@ namespace memo::check
 
 /** The nine applications of the speedup tables (Tables 11-13). */
 const std::vector<std::string> &speedupApps();
-
-/**
- * Aggregate of one MM application over the standard image set: summed
- * baseline and memoized cycle counts plus pooled fp hit ratios
- * (tables flushed between inputs, hits/lookups pooled).
- */
-struct AppCycles
-{
-    double hitRatioFpDiv = -1.0;  //!< 32/4 table, pooled over inputs
-    double hitRatioFpMul = -1.0;
-    uint64_t totalCycles = 0;     //!< baseline (no memo) cycles
-    uint64_t fpDivCycles = 0;
-    uint64_t fpMulCycles = 0;
-    uint64_t memoTotalCycles = 0; //!< cycles with the given bank
-};
-
-/**
- * Run @p kernel over every standard image under @p lat, with a 32/4
- * bank attached to the units selected by @p memo_mul / @p memo_div,
- * and accumulate cycles plus hit ratios.
- */
-AppCycles measureAppCycles(const MmKernel &kernel,
-                           const LatencyConfig &lat, bool memo_mul,
-                           bool memo_div);
 
 /** One Table 7 row: an MM kernel at 32/4 and infinite. */
 struct MmRow
@@ -85,6 +70,87 @@ enum class SpeedupUnit
     Both,  //!< Table 13: both units, 3/13 (fast) and 5/39 (slow) FPUs
 };
 
+/** Number of SpeedupUnit values (the three speedup tables). */
+constexpr unsigned numSpeedupUnits = 3;
+
+/**
+ * The fast (@p slow false) or slow FPU of one speedup table: Table 11
+ * slows the divider to 39 cycles, Table 12 the multiplier to 5, and
+ * Table 13 both; the fast FPU is 3/13 in all three.
+ */
+LatencyConfig speedupLatency(SpeedupUnit unit, bool slow);
+
+/**
+ * Cycle totals of one speedup variant (a table's unit(s) under one
+ * FPU) over one trace, or summed over an application's images, plus
+ * the memoized units' fp hit ratios (32/4 tables, hits and lookups
+ * pooled over the images).
+ */
+struct AppCycles
+{
+    double hitRatioFpDiv = -1.0;  //!< -1 when the unit is not memoized
+    double hitRatioFpMul = -1.0;
+    uint64_t totalCycles = 0;     //!< baseline (no memo) cycles
+    uint64_t fpDivCycles = 0;
+    uint64_t fpMulCycles = 0;
+    uint64_t memoTotalCycles = 0; //!< cycles with the unit(s) memoized
+};
+
+/**
+ * Every requested speedup variant of one trace or application:
+ * cells[unit][0] is the fast FPU, cells[unit][1] the slow one. fpMul
+ * and fpDiv are the 32/4 tables' statistics over the same trace(s).
+ */
+struct SpeedupCycles
+{
+    std::array<std::array<AppCycles, 2>, numSpeedupUnits> cells{};
+    MemoStats fpMul;
+    MemoStats fpDiv;
+
+    AppCycles &
+    cell(SpeedupUnit unit, bool slow)
+    {
+        return cells[static_cast<unsigned>(unit)][slow];
+    }
+
+    const AppCycles &
+    cell(SpeedupUnit unit, bool slow) const
+    {
+        return cells[static_cast<unsigned>(unit)][slow];
+    }
+};
+
+/**
+ * The speedup variants of @p units over one trace, in closed form: one
+ * CpuModel::costs() pass, one probe of fresh 32/4 fp-mul and fp-div
+ * tables (hits do not depend on latency, so one count per unit serves
+ * every variant), and a CpuModel::evaluate() per cell.
+ * Hit ratios are left at -1; the statistics registry receives exactly
+ * what speedupCyclesReference() folds (four sim.cpu runs per unit)
+ * and no table or replay counters.
+ */
+SpeedupCycles speedupCycles(const Trace &trace,
+                            const std::vector<SpeedupUnit> &units);
+
+/**
+ * The same cells by replay: per unit, a baseline and a memoized
+ * CpuModel::run under each FPU, every memoized run on a fresh 32/4
+ * bank. The oracle of the closed form (tests, the
+ * closed_form_speed_gate denominator); do not optimize it.
+ */
+SpeedupCycles
+speedupCyclesReference(const Trace &trace,
+                       const std::vector<SpeedupUnit> &units);
+
+/**
+ * speedupCycles() over every (app, standard image) trace of @p apps at
+ * @p max_dim, one work item per trace, pooled per app in image order
+ * with the hit ratios filled in. Index-aligned with @p apps.
+ */
+std::vector<SpeedupCycles>
+measureSpeedupCycles(const std::vector<std::string> &apps,
+                     const std::vector<SpeedupUnit> &units, int max_dim);
+
 /** One latency scenario of a speedup row (the fast or slow column). */
 struct SpeedupCell
 {
@@ -112,7 +178,21 @@ struct SpeedupResult
     double avgSlow = 0.0;
 };
 
-/** Measure one of Tables 11/12/13 over the nine speedup apps. */
+/** Tables 11, 12 and 13. */
+struct SpeedupTables
+{
+    SpeedupResult fpDiv;
+    SpeedupResult fpMul;
+    SpeedupResult both;
+};
+
+/**
+ * Measure Tables 11-13 over the nine speedup apps from one pass over
+ * their traces (measureSpeedupCycles with all three units).
+ */
+SpeedupTables measureSpeedupTables();
+
+/** Measure one of Tables 11/12/13 (only @p unit's variants). */
 SpeedupResult measureSpeedups(SpeedupUnit unit);
 
 /** One image's entropy/hit-ratio sample (Table 8 / Figure 2). */

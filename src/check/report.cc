@@ -1142,9 +1142,7 @@ buildExperimentsReport()
     MmSuiteResult mm = measureMmSuite();
     EntropyResult ent = measureEntropy();
     TagModeResult tags = measureTagModes();
-    SpeedupResult sp_div = measureSpeedups(SpeedupUnit::FpDiv);
-    SpeedupResult sp_mul = measureSpeedups(SpeedupUnit::FpMul);
-    SpeedupResult sp_both = measureSpeedups(SpeedupUnit::Both);
+    SpeedupTables speedups = measureSpeedupTables();
 
     std::vector<MemoConfig> size_cfgs;
     for (unsigned entries : fig3Sizes()) {
@@ -1179,7 +1177,8 @@ buildExperimentsReport()
     report.sections.push_back(table8Section(ent));
     report.sections.push_back(table9Section());
     report.sections.push_back(table10Section(tags));
-    report.sections.push_back(speedupSection(sp_div, sp_mul, sp_both));
+    report.sections.push_back(
+        speedupSection(speedups.fpDiv, speedups.fpMul, speedups.both));
     report.sections.push_back(fig2Section(ent));
     report.sections.push_back(fig3Section(fig3));
     report.sections.push_back(fig4Section(fig4));

@@ -60,7 +60,10 @@ class Histogram
     explicit Histogram(std::vector<uint64_t> upper_edges);
 
     /** Record one sample. */
-    void record(uint64_t value);
+    void record(uint64_t value) { record(value, 1); }
+
+    /** Record @p n samples of the same @p value (n may be 0). */
+    void record(uint64_t value, uint64_t n);
 
     /** Add another histogram's counts; edges must match exactly. */
     void merge(const Histogram &other);

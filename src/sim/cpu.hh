@@ -9,6 +9,13 @@
  * MEMO-TABLE lookup hits completes in a single cycle; on a miss it pays
  * its full unit latency (the lookup runs in parallel, so a miss adds no
  * penalty) and the result is installed in the table.
+ *
+ * Because every compute class costs a fixed latency and a hit costs
+ * one cycle, run() is linear in the latencies: the same totals follow
+ * from per-class counts, the memory hierarchy's cycles and per-class
+ * hit counts. CostVector holds the latency-independent part of one
+ * trace, and CpuModel::evaluate() prices it under any LatencyConfig
+ * (the closed form the speedup tables use; see DESIGN.md).
  */
 
 #ifndef MEMO_SIM_CPU_HH
@@ -123,6 +130,26 @@ struct SimResult
     }
 };
 
+/**
+ * The part of one trace's run() that no compute latency changes:
+ * per-class dynamic counts and what the memory hierarchy charged the
+ * loads and stores. Branch and instruction counts are sums over
+ * count. Built once per trace by CpuModel::costs().
+ */
+struct CostVector
+{
+    std::array<uint64_t, numInstClasses> count{};
+    uint64_t loadCycles = 0;  //!< hierarchy cycles of all loads
+    uint64_t storeCycles = 0; //!< hierarchy cycles of all stores
+    obs::Histogram loadOccupancy;  //!< per-load hierarchy latency
+    obs::Histogram storeOccupancy; //!< per-store hierarchy latency
+    CacheStats l1;
+    CacheStats l2;
+
+    /** Dynamic instruction count (the trace's size). */
+    uint64_t instructions() const;
+};
+
 /** The serial trace replayer. */
 class CpuModel
 {
@@ -138,9 +165,50 @@ class CpuModel
      */
     SimResult run(const Trace &trace, MemoBank *bank = nullptr);
 
+    /**
+     * One pass over @p trace through this model's memory hierarchy:
+     * the trace's CostVector, valid for every model with the same
+     * l1, l2 and memoryLatency.
+     *
+     * @throw std::invalid_argument with earlyOutIntMul: an
+     *        operand-dependent latency is not linear.
+     */
+    CostVector costs(const Trace &trace) const;
+
+    /**
+     * run() in closed form: the SimResult of replaying the trace
+     * behind @p cv, with tables whose statistics over that trace
+     * alone are @p memo (empty for the baseline machine). A class's
+     * hits (MemoStats::allHits) cost 1 cycle and the rest of its
+     * count the class latency; loads and stores cost what costs()
+     * recorded. Equal field for field to run() on a fresh bank of
+     * the same tables, including annulCycles, occupancy, memo, the
+     * cache statistics and what is folded into the statistics
+     * registry (the transparency check on hit values is run()'s
+     * alone).
+     *
+     * @throw std::invalid_argument with earlyOutIntMul, or when a
+     *        table's lookups + trivialBypassed differ from its class
+     *        count (statistics of some other trace).
+     */
+    SimResult evaluate(const CostVector &cv,
+                       const std::map<Operation, MemoStats> &memo = {})
+        const;
+
   private:
+    /** Charge annulled slots, then fold @p res into the registry. */
+    void finish(SimResult &res, uint64_t instructions) const;
+
     CpuConfig cfg;
 };
+
+/**
+ * Fault injection for the fuzzer's mutation self-test: when enabled,
+ * CpuModel::evaluate() counts MemoStats::hits instead of allHits(),
+ * dropping Integrated-mode trivial hits from the closed form. Never
+ * enable outside tests.
+ */
+void setClosedFormTrivialFault(bool enabled);
 
 } // namespace memo
 

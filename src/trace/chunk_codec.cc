@@ -233,6 +233,13 @@ decodeChunk(std::string_view chunk)
             "chunk: payload size mismatch (header says " +
             std::to_string(payloadBytes) + ", file has " +
             std::to_string(chunk.size() - kChunkHeaderBytes) + ")");
+    // The hash covers the payload only: bound the header's element
+    // count by what the payload can hold (a varint is at least one
+    // byte) before allocating for it.
+    if (elems > payloadBytes)
+        throw SpillError("chunk: element count " + std::to_string(elems) +
+                         " exceeds the " + std::to_string(payloadBytes) +
+                         "-byte payload");
     const char *p = chunk.data() + kChunkHeaderBytes;
     const char *end = p + payloadBytes;
     if (fnv1a(p, payloadBytes) != hash)
@@ -282,9 +289,19 @@ class ColumnCursor
     ColumnCursor(const EncodedColumn &col, TraceColumn which)
         : col_(col), which_(which)
     {
+        // Bound every declared count by the bytes behind it, so the
+        // trace-level reserve below never trusts an unbacked count.
         uint64_t total = 0;
-        for (const EncodedChunk &c : col.chunks)
+        for (const EncodedChunk &c : col.chunks) {
+            if (c.bytes.size() < kChunkHeaderBytes ||
+                c.elems > c.bytes.size() - kChunkHeaderBytes)
+                throw SpillError(std::string(traceColumnName(which)) +
+                                 ": chunk declares " +
+                                 std::to_string(c.elems) +
+                                 " elements, more than its payload "
+                                 "can hold");
             total += c.elems;
+        }
         if (total != col.elems)
             throw SpillError(std::string(traceColumnName(which)) +
                              ": chunk element counts sum to " +
@@ -486,6 +503,10 @@ decodeManifest(std::string_view bytes)
     m.key.assign(r.take(keyLen), keyLen);
     for (size_t c = 0; c < kNumTraceColumns; c++) {
         uint32_t chunks = r.u32();
+        if (chunks > r.remaining() / (sizeof(uint64_t) + sizeof(uint32_t)))
+            throw SpillError("manifest: " + std::to_string(chunks) +
+                             " chunk references exceed the remaining " +
+                             std::to_string(r.remaining()) + " bytes");
         m.cols[c].reserve(chunks);
         for (uint32_t i = 0; i < chunks; i++) {
             ChunkRef ch;

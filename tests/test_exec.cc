@@ -300,7 +300,8 @@ TEST(TraceCache, SharedHoldersSurviveClear)
 TEST(TraceCache, CachedMmTraceIsProcessWideShared)
 {
     // The analysis helper must hand back the same instance on repeat
-    // calls — this is what makes measureAppCycles cheap.
+    // calls — this is what lets every measurement over one (kernel,
+    // image) pair share a single generation.
     const MmKernel &k = mmKernelByName("vcost");
     const auto &img = standardImages().front();
     auto a = cachedMmKernelTrace(k, img, 32);

@@ -344,6 +344,32 @@ TEST(TraceSpillCodec, ChunkRejectsEveryHeaderDefect)
     EXPECT_THROW(decodeChunk(std::string_view()), SpillError);
 }
 
+TEST(TraceSpillCodec, HugeElementCountIsSpillErrorNotBadAlloc)
+{
+    // The content hash covers the payload only, so a flipped high bit
+    // of elemCount reaches the decoder intact; it must be rejected
+    // before the decoder allocates for ~2^31 elements (the memo-fuzz
+    // --seed 1 --iters 10000 chunk-codec abort).
+    Trace t = sampleTrace(40);
+    EncodedTrace enc = encodeTraceChunked(t, 8);
+    std::string &bytes = enc.col(TraceColumn::OpA).chunks.at(0).bytes;
+    bytes[11] = static_cast<char>(bytes[11] ^ 0x80);
+    EXPECT_THROW(decodeChunk(bytes), SpillError);
+    EXPECT_THROW(decodeTraceChunked(enc), SpillError);
+
+    // Chunk metadata can overstate its element count as well, with
+    // the column and record counts inflated to match: the record
+    // count must still not reach an allocation.
+    EncodedTrace meta = encodeTraceChunked(t, 8);
+    const uint32_t huge = UINT32_MAX;
+    meta.records += huge - meta.col(TraceColumn::Cls).chunks.at(0).elems;
+    for (TraceColumn c : {TraceColumn::Cls, TraceColumn::Pc}) {
+        meta.col(c).chunks.at(0).elems = huge;
+        meta.col(c).elems = meta.records;
+    }
+    EXPECT_THROW(decodeTraceChunked(meta), SpillError);
+}
+
 TEST(TraceSpillCodec, ManifestRejectsCorruption)
 {
     Trace t = sampleTrace(40);

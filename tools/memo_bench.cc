@@ -44,6 +44,7 @@
 
 #include "analysis/experiment.hh"
 #include "check/fuzz.hh"
+#include "check/measure.hh"
 #include "core/bank.hh"
 #include "exec/thread_pool.hh"
 #include "exec/trace_cache.hh"
@@ -224,6 +225,46 @@ scenarios()
                      static_cast<double>(trace->size());
                  ctx.extra["cycles"] =
                      static_cast<double>(r.totalCycles);
+             };
+         }},
+        // The closed-form pair: all twelve Table 11-13 cells of one
+        // speedup trace (3 tables x 2 FPUs x memo off/on), from one
+        // cost pass and one probe per fp unit against twelve
+        // CpuModel replays. Ratio-only (closed_form_speed_gate).
+        {"speedup_cells",
+         "closed-form Table 11-13 cells of one cached kernel trace",
+         false,
+         [](BenchContext &) {
+             auto trace = cachedMmKernelTrace(mmKernelByName("venhance"),
+                                              imageByName("chroms"), 64);
+             return [trace](BenchContext &ctx) {
+                 check::SpeedupCycles c = check::speedupCycles(
+                     *trace, {check::SpeedupUnit::FpDiv,
+                              check::SpeedupUnit::FpMul,
+                              check::SpeedupUnit::Both});
+                 ctx.extra["items"] =
+                     static_cast<double>(trace->size());
+                 ctx.extra["cycles"] = static_cast<double>(
+                     c.cell(check::SpeedupUnit::Both, true)
+                         .memoTotalCycles);
+             };
+         }},
+        {"speedup_cells_reference",
+         "the same twelve cells by twelve CpuModel replays (the "
+         "closed form's oracle)", false,
+         [](BenchContext &) {
+             auto trace = cachedMmKernelTrace(mmKernelByName("venhance"),
+                                              imageByName("chroms"), 64);
+             return [trace](BenchContext &ctx) {
+                 check::SpeedupCycles c = check::speedupCyclesReference(
+                     *trace, {check::SpeedupUnit::FpDiv,
+                              check::SpeedupUnit::FpMul,
+                              check::SpeedupUnit::Both});
+                 ctx.extra["items"] =
+                     static_cast<double>(trace->size());
+                 ctx.extra["cycles"] = static_cast<double>(
+                     c.cell(check::SpeedupUnit::Both, true)
+                         .memoTotalCycles);
              };
          }},
         {"memo_sweep",

@@ -6,10 +6,11 @@
  *   memo_fuzz --seed 1 --iters 10000 --mutation
  *
  * Exit status 0 means the harness behaved as expected: no invariant
- * violations in a normal campaign, or (with --mutation) all four
+ * violations in a normal campaign, or (with --mutation) all five
  * injected bugs — the tag-comparison bug, the batched-replay
  * block-boundary off-by-one, the reference table's dropped LRU
- * refresh, and the memo-lint lexer newline-accounting fault — were
+ * refresh, the closed form's dropped trivial hits, and the memo-lint
+ * lexer newline-accounting fault — were
  * caught. Any other outcome exits 1,
  * printing a shrunk counterexample and a one-line repro.
  */
@@ -39,9 +40,10 @@ usage(const char *argv0)
                  "  --stream L   accesses per case (default 256)\n"
                  "  --mutation   self-test: inject a tag-comparison\n"
                  "               bug, a block-boundary off-by-one, a\n"
-                 "               dropped reference LRU refresh and a\n"
-                 "               lint-lexer fault; the harness must\n"
-                 "               catch all four\n"
+                 "               dropped reference LRU refresh, a\n"
+                 "               closed form without trivial hits and\n"
+                 "               a lint-lexer fault; the harness must\n"
+                 "               catch all five\n"
                  "  --verbose    progress output every 1000 cases\n"
                  "  --progress   stderr heartbeat (rate/ETA); stdout\n"
                  "               stays byte-identical\n",
@@ -111,8 +113,9 @@ main(int argc, char **argv)
                          "detect its injected bug\n";
             return 1;
         }
-        std::cout << "ok: injected tag-comparison, block-boundary "
-                     "and lint-lexer bugs detected\n";
+        std::cout << "ok: injected tag-comparison, block-boundary, "
+                     "LRU-refresh, closed-form and lint-lexer bugs "
+                     "detected\n";
         return 0;
     }
 

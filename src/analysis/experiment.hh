@@ -108,6 +108,7 @@ struct UnitHits
     double intMul = -1.0;
     double fpMul = -1.0;
     double fpDiv = -1.0;
+    bool operator==(const UnitHits &) const = default; //!< Field-wise.
 };
 
 /** Extract per-unit hit ratios from a bank. */

@@ -21,6 +21,7 @@ struct FitResult
     double residualSumSquares = 0.0;
     unsigned iterations = 0;
     bool converged = false;
+    bool operator==(const FitResult &) const = default; //!< Field-wise.
 };
 
 /**

@@ -16,8 +16,11 @@
  *    a reproduced paper value shows up as a failing diff that must be
  *    acknowledged by regenerating the snapshots (memo-golden --regen).
  *
- * Everything is deterministic: traces come from the process-wide
- * cache, exec::sweep results are index-aligned regardless of thread
+ * The measurements run as a measurement plan (plan.hh): each entry
+ * point below is that plan restricted to its own stage, and the golden
+ * documents are projections of one plan over every stage they show.
+ * Everything is deterministic: each trace is generated once per plan,
+ * its per-input statistics fold in canonical order at any thread
  * count, and doubles are printed with %.17g (exact round trip).
  */
 
@@ -33,6 +36,9 @@
 namespace memo::check
 {
 
+struct PlanRequest;
+struct PlanResult;
+
 /**
  * Crop size all hit-ratio measurements use (bench::benchCrop aliases
  * this; see DESIGN.md for the 96-pixel rationale).
@@ -45,6 +51,7 @@ struct SciRow
     std::string name;
     UnitHits h32;
     UnitHits hinf;
+    bool operator==(const SciRow &) const = default; //!< Field-wise.
 };
 
 /** A whole suite plus its per-unit averages (absent units skipped). */
@@ -53,6 +60,7 @@ struct SciSuiteResult
     std::vector<SciRow> rows;
     UnitHits avg32;
     UnitHits avgInf;
+    bool operator==(const SciSuiteResult &) const = default; //!< Field-wise.
 };
 
 /** Measure a Perfect/SPEC suite, fanned out over the executor. */
@@ -65,6 +73,7 @@ struct TrivialModeRow
     double all = -1.0;   //!< hit ratio, trivial ops cached
     double non = -1.0;   //!< hit ratio, trivial ops bypassed
     double intgr = -1.0; //!< hit ratio, integrated trivial detection
+    bool operator==(const TrivialModeRow &) const = default; //!< Field-wise.
 };
 
 /** Measure one kernel/unit pair over the standard images (Table 9). */
@@ -78,6 +87,7 @@ struct SuiteAvg
 {
     double fpMul = 0.0;
     double fpDiv = 0.0;
+    bool operator==(const SuiteAvg &) const = default; //!< Field-wise.
 };
 
 /** Full-value vs mantissa-only averages for both suites (Table 10). */
@@ -85,6 +95,7 @@ struct TagModeResult
 {
     SuiteAvg perfectFull, perfectMant;
     SuiteAvg mmFull, mmMant;
+    bool operator==(const TagModeResult &) const = default; //!< Field-wise.
 };
 
 TagModeResult measureTagModes();
@@ -95,6 +106,7 @@ struct BandRow
     double avg = -1.0;
     double lo = -1.0;
     double hi = -1.0;
+    bool operator==(const BandRow &) const = default; //!< Field-wise.
 };
 
 /** Per-config bands for both fp units, index-aligned with the input. */
@@ -102,10 +114,18 @@ struct SweepBands
 {
     std::vector<BandRow> fpDiv;
     std::vector<BandRow> fpMul;
+    bool operator==(const SweepBands &) const = default; //!< Field-wise.
 };
 
 /** Sweep the five Figure 3/4 kernels over @p cfgs. */
 SweepBands measureSweepBands(const std::vector<MemoConfig> &cfgs);
+
+/**
+ * The bands of a sweep from each sweep kernel's per-config hit ratios
+ * (per_kernel[kernel][config], kernels in sweepKernelNames() order).
+ */
+SweepBands
+foldSweepBands(const std::vector<std::vector<UnitHits>> &per_kernel);
 
 /** The table sizes of Figure 3 (entries, 4-way). */
 const std::vector<unsigned> &fig3Sizes();
@@ -113,15 +133,28 @@ const std::vector<unsigned> &fig3Sizes();
 /** The associativities of Figure 4 (ways, 32 entries). */
 const std::vector<unsigned> &fig4Ways();
 
-/** One golden document: a name and its canonical JSON producer. */
+/** Figure 3's configurations: fig3Sizes() entries, 4-way. */
+std::vector<MemoConfig> fig3Configs();
+
+/** Figure 4's configurations: 32 entries, fig4Ways() ways. */
+std::vector<MemoConfig> fig4Configs();
+
+/** One golden document: a name and its canonical JSON projection. */
 struct GoldenDoc
 {
-    std::string name;        //!< snapshot file stem (tests/golden/<name>.json)
-    std::string (*produce)(); //!< compute and serialize the current value
+    std::string name; //!< snapshot file stem (tests/golden/<name>.json)
+    /** Serialize this document's values from goldenRequest()'s plan. */
+    std::string (*render)(const PlanResult &);
 };
 
-/** All golden documents, in canonical (cheap-first) order. */
+/** All golden documents, in canonical order. */
 const std::vector<GoldenDoc> &goldenDocs();
+
+/**
+ * The stages the golden documents project (Tables 5, 6, 9, 10 and
+ * Figures 3/4), with paperRequest()'s suite and sweep slots.
+ */
+PlanRequest goldenRequest();
 
 } // namespace memo::check
 

@@ -12,16 +12,17 @@
  * pretty-printers over the same computation.
  *
  * The speedup tables use closed-form cycle accounting: each (app,
- * image) trace is fetched once, reduced to a CostVector
+ * image) trace is generated once, reduced to a CostVector
  * (sim/cpu.hh) and probed once per memoized fp unit, and every cell
  * of all three tables is then a dot product of counts and latencies
  * (CpuModel::evaluate) instead of a replay. speedupCyclesReference()
  * keeps the replaying form as the oracle.
  *
- * Everything here is deterministic for the same reasons the goldens
- * are: traces come from the process-wide cache, exec::sweep results
- * are index-aligned regardless of thread count, and all aggregation
- * is per-item arithmetic over exact trace replays.
+ * The measure* entry points are selectors over the measurement plan
+ * (plan.hh) restricted to their own stage, so everything here is
+ * deterministic for the same reasons the goldens are: each trace is
+ * generated once per plan and all aggregation is integer folds of
+ * per-input replays in canonical order, at any thread count.
  */
 
 #ifndef MEMO_CHECK_MEASURE_HH
@@ -49,6 +50,7 @@ struct MmRow
     std::string name;
     UnitHits h32;
     UnitHits hinf;
+    bool operator==(const MmRow &) const = default; //!< Field-wise.
 };
 
 /** Table 7: all MM kernels plus per-unit averages (absent skipped). */
@@ -57,6 +59,7 @@ struct MmSuiteResult
     std::vector<MmRow> rows;
     UnitHits avg32;
     UnitHits avgInf;
+    bool operator==(const MmSuiteResult &) const = default; //!< Field-wise.
 };
 
 /** Measure the Multi-Media suite, 32/4 vs infinite (Table 7). */
@@ -94,6 +97,7 @@ struct AppCycles
     uint64_t fpDivCycles = 0;
     uint64_t fpMulCycles = 0;
     uint64_t memoTotalCycles = 0; //!< cycles with the unit(s) memoized
+    bool operator==(const AppCycles &) const = default; //!< Field-wise.
 };
 
 /**
@@ -118,6 +122,7 @@ struct SpeedupCycles
     {
         return cells[static_cast<unsigned>(unit)][slow];
     }
+    bool operator==(const SpeedupCycles &) const = default; //!< Field-wise.
 };
 
 /**
@@ -158,6 +163,7 @@ struct SpeedupCell
     double se = 0.0;       //!< Speedup Enhanced of the memoized unit(s)
     double speedup = 0.0;  //!< analytic (Amdahl) speedup
     double measured = 0.0; //!< cycle-model speedup, baseline/memo
+    bool operator==(const SpeedupCell &) const = default; //!< Field-wise.
 };
 
 /** One application's speedups under the fast and slow scenario. */
@@ -167,6 +173,7 @@ struct SpeedupRow
     double hit = -1.0; //!< memoized unit's hit ratio (-1 for Both)
     SpeedupCell fast;
     SpeedupCell slow;
+    bool operator==(const SpeedupRow &) const = default; //!< Field-wise.
 };
 
 /** A whole speedup table plus the paper-style averages. */
@@ -176,6 +183,7 @@ struct SpeedupResult
     double avgHit = -1.0; //!< average hit ratio (-1 for Both)
     double avgFast = 0.0; //!< average analytic speedup, fast scenario
     double avgSlow = 0.0;
+    bool operator==(const SpeedupResult &) const = default; //!< Field-wise.
 };
 
 /** Tables 11, 12 and 13. */
@@ -184,7 +192,14 @@ struct SpeedupTables
     SpeedupResult fpDiv;
     SpeedupResult fpMul;
     SpeedupResult both;
+    bool operator==(const SpeedupTables &) const = default; //!< Field-wise.
 };
+
+/**
+ * Tables 11-13 from the per-app cycles of speedupApps(), measured
+ * with all three units.
+ */
+SpeedupTables speedupTables(const std::vector<SpeedupCycles> &apps);
 
 /**
  * Measure Tables 11-13 over the nine speedup apps from one pass over
@@ -203,6 +218,7 @@ struct EntropyPoint
     double entropyWin = 0.0;  //!< mean 8x8-window entropy, bits
     double fpMulHit = 0.0;    //!< pooled over all MM kernels
     double fpDivHit = 0.0;
+    bool operator==(const EntropyPoint &) const = default; //!< Field-wise.
 };
 
 /**
@@ -216,6 +232,7 @@ struct EntropyResult
     FitResult divWin;  //!< fp div vs 8x8 window entropy
     FitResult mulFull;
     FitResult mulWin;
+    bool operator==(const EntropyResult &) const = default; //!< Field-wise.
 };
 
 /** Measure hit ratio vs image entropy (Table 8 / Figure 2). */

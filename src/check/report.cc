@@ -8,7 +8,7 @@
 #include "analysis/table.hh"
 #include "check/golden.hh"
 #include "check/measure.hh"
-#include "exec/parallel.hh"
+#include "check/plan.hh"
 #include "img/generate.hh"
 #include "obs/phase.hh"
 #include "obs/stats.hh"
@@ -286,7 +286,7 @@ table8Section(const EntropyResult &ent)
 }
 
 ReportSection
-table9Section()
+table9Section(const std::vector<std::vector<TrivialModeRow>> &rows)
 {
     ReportSection sec;
     sec.title = "Table 9 — trivial operations (`bench_table9`)";
@@ -303,36 +303,23 @@ table9Section()
         Operation op;
         TrivialModeRow row;
     };
-    struct AppRows
-    {
-        TrivialModeRow im, fm, fd;
-    };
     const std::vector<std::string> &apps = table9Apps();
-    // One executor job per application, as in bench_table9.
-    std::vector<AppRows> rows =
-        exec::sweep(apps, [](const std::string &name) {
-            const MmKernel &k = mmKernelByName(name);
-            return AppRows{
-                measureTrivialModes(k, Operation::IntMul),
-                measureTrivialModes(k, Operation::FpMul),
-                measureTrivialModes(k, Operation::FpDiv)};
-        });
-
     std::vector<Cell> cells;
     ReportTable t;
     t.header = {"application", "im trv/all/non/intgr",
                 "fm trv/all/non/intgr", "fd trv/all/non/intgr"};
     for (size_t ai = 0; ai < apps.size(); ai++) {
         const std::string &name = apps[ai];
-        cells.push_back({name, Operation::IntMul, rows[ai].im});
-        cells.push_back({name, Operation::FpMul, rows[ai].fm});
-        cells.push_back({name, Operation::FpDiv, rows[ai].fd});
+        const std::vector<TrivialModeRow> &units = rows[ai];
+        cells.push_back({name, Operation::IntMul, units[0]});
+        cells.push_back({name, Operation::FpMul, units[1]});
+        cells.push_back({name, Operation::FpDiv, units[2]});
         auto quad = [](const TrivialModeRow &r) {
             return ratio(r.trv) + "/" + ratio(r.all) + "/" +
                    ratio(r.non) + "/" + ratio(r.intgr);
         };
-        t.rows.push_back({name, quad(rows[ai].im), quad(rows[ai].fm),
-                          quad(rows[ai].fd)});
+        t.rows.push_back({name, quad(units[0]), quad(units[1]),
+                          quad(units[2])});
     }
     sec.tables = {t};
 
@@ -665,22 +652,6 @@ fig4Section(const SweepBands &bands)
     return sec;
 }
 
-/** Phase-chapter window length, in table accesses. */
-constexpr uint64_t kPhaseWindow = 2048;
-
-/** Standard images concatenated into each kernel's phased stream. */
-constexpr size_t kPhaseImages = 4;
-
-/** One application's phase measurement (one sweep worker's result). */
-struct PhaseCell
-{
-    std::vector<obs::PhaseProfile> full; //!< default 32/4 config
-    std::vector<obs::PhaseProfile> mant; //!< Table 10 mantissa-only
-    std::vector<ReuseWindow> reuse;      //!< fp div windowed reuse
-    bool partitionOk = true;  //!< window rows sum to the final stats
-    bool reuseAligned = true; //!< reuse windows match table windows
-};
-
 const obs::PhaseProfile *
 profileOf(const std::vector<obs::PhaseProfile> &profs, Operation op)
 {
@@ -725,77 +696,6 @@ setDigits(const obs::PhaseProfile &p, size_t row)
     for (uint32_t occ : p.setOccupancy[row])
         s += static_cast<char>('0' + std::min<uint32_t>(occ, 9));
     return s;
-}
-
-/**
- * Measure one MM application's phase behaviour: the first
- * kPhaseImages standard inputs concatenated into one stream, replayed
- * through the batched hot path with a PhaseScope attached — once at
- * the default 32/4 config (per-set occupancy on) and once with
- * mantissa-only tags (Table 10's variant) — plus the fp div windowed
- * reuse profile of the same stream for cross-layer alignment.
- */
-PhaseCell
-measurePhases(const std::string &name)
-{
-    const MmKernel &k = mmKernelByName(name);
-    const std::vector<NamedImage> &imgs = standardImages();
-    Trace combined;
-    for (size_t i = 0; i < kPhaseImages && i < imgs.size(); i++) {
-        std::shared_ptr<const Trace> t =
-            cachedMmKernelTrace(k, imgs[i], goldenCrop);
-        combined.reserve(combined.size() + t->size());
-        for (const Instruction &inst : *t)
-            combined.push(inst);
-    }
-
-    PhaseCell cell;
-    MemoConfig cfg; // the 32-entry 4-way default of Tables 9/10
-    {
-        MemoBank bank = MemoBank::standard(cfg);
-        obs::PhaseScope scope(bank, kPhaseWindow, /*per_set=*/true);
-        replayMemo(combined, bank);
-        scope.finalize();
-        cell.full = scope.profiles();
-        for (const obs::PhaseProfile &p : cell.full) {
-            MemoStats sum;
-            uint64_t len = 0;
-            for (const PhaseWindow &w : p.rows) {
-                sum.merge(w.stats);
-                len += w.length;
-            }
-            const MemoStats &fin = bank.table(p.op)->stats();
-            if (sum != fin ||
-                len != fin.lookups + fin.trivialBypassed)
-                cell.partitionOk = false;
-        }
-    }
-    {
-        MemoConfig mant = cfg;
-        mant.tagMode = TagMode::MantissaOnly;
-        MemoBank bank = MemoBank::standard(mant);
-        obs::PhaseScope scope(bank, kPhaseWindow);
-        replayMemo(combined, bank);
-        scope.finalize();
-        cell.mant = scope.profiles();
-    }
-    cell.reuse =
-        windowedReuse(combined, Operation::FpDiv, kPhaseWindow);
-    if (const obs::PhaseProfile *fd =
-            profileOf(cell.full, Operation::FpDiv)) {
-        if (cell.reuse.size() != fd->rows.size()) {
-            cell.reuseAligned = false;
-        } else {
-            for (size_t i = 0; i < cell.reuse.size(); i++) {
-                const PhaseWindow &w = fd->rows[i];
-                if (cell.reuse[i].accesses !=
-                        w.stats.lookups + w.stats.trivialBypassed ||
-                    cell.reuse[i].trivial != w.stats.trivialBypassed)
-                    cell.reuseAligned = false;
-            }
-        }
-    }
-    return cell;
 }
 
 ReportSection
@@ -1137,52 +1037,30 @@ buildExperimentsReport()
         "digit for digit; each section lists the paper's *shape* "
         "claims with a measured pass/fail verdict."};
 
-    SciSuiteResult perfect = measureSciSuite(perfectWorkloads());
-    SciSuiteResult spec = measureSciSuite(specWorkloads());
-    MmSuiteResult mm = measureMmSuite();
-    EntropyResult ent = measureEntropy();
-    TagModeResult tags = measureTagModes();
-    SpeedupTables speedups = measureSpeedupTables();
-
-    std::vector<MemoConfig> size_cfgs;
-    for (unsigned entries : fig3Sizes()) {
-        MemoConfig cfg;
-        cfg.entries = entries;
-        cfg.ways = 4;
-        size_cfgs.push_back(cfg);
-    }
-    SweepBands fig3 = measureSweepBands(size_cfgs);
-
-    std::vector<MemoConfig> way_cfgs;
-    for (unsigned ways : fig4Ways()) {
-        MemoConfig cfg;
-        cfg.entries = 32;
-        cfg.ways = ways;
-        way_cfgs.push_back(cfg);
-    }
-    SweepBands fig4 = measureSweepBands(way_cfgs);
-
-    const std::vector<std::string> &phase_apps = table9Apps();
-    std::vector<PhaseCell> phases =
-        exec::sweep(phase_apps, measurePhases);
+    PlanResult plan = runPlan(paperRequest());
+    const SciSuiteResult &perfect = plan.sciSuites[kPerfectSuite];
+    const SciSuiteResult &spec = plan.sciSuites[kSpecSuite];
+    const EntropyResult &ent = plan.entropy;
+    SpeedupTables speedups = speedupTables(plan.speedups);
     // Publish on this thread, in app order: the registry fold stays
     // identical at any --jobs level.
-    for (const PhaseCell &c : phases)
+    for (const PhaseCell &c : plan.phases)
         obs::publishPhases(obs::StatsRegistry::global(), c.full);
 
     report.sections.push_back(table1Section());
     report.sections.push_back(table5Section(perfect));
     report.sections.push_back(table6Section(spec));
-    report.sections.push_back(table7Section(mm, perfect, spec));
+    report.sections.push_back(
+        table7Section(plan.mmSuite, perfect, spec));
     report.sections.push_back(table8Section(ent));
-    report.sections.push_back(table9Section());
-    report.sections.push_back(table10Section(tags));
+    report.sections.push_back(table9Section(plan.trivial));
+    report.sections.push_back(table10Section(plan.tagModes));
     report.sections.push_back(
         speedupSection(speedups.fpDiv, speedups.fpMul, speedups.both));
     report.sections.push_back(fig2Section(ent));
-    report.sections.push_back(fig3Section(fig3));
-    report.sections.push_back(fig4Section(fig4));
-    report.sections.push_back(phaseSection(phase_apps, phases));
+    report.sections.push_back(fig3Section(plan.sweeps[kFig3Sweep]));
+    report.sections.push_back(fig4Section(plan.sweeps[kFig4Sweep]));
+    report.sections.push_back(phaseSection(table9Apps(), plan.phases));
     report.sections.push_back(instrumentationSection(
         obs::StatsRegistry::global().snapshot()));
     report.sections.push_back(extensionsSection());

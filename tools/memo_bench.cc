@@ -45,6 +45,8 @@
 #include "analysis/experiment.hh"
 #include "check/fuzz.hh"
 #include "check/measure.hh"
+#include "check/plan.hh"
+#include "check/report.hh"
 #include "core/bank.hh"
 #include "exec/thread_pool.hh"
 #include "exec/trace_cache.hh"
@@ -348,6 +350,33 @@ scenarios()
                                          imageByName("chroms").image,
                                          64);
                  ctx.extra["items"] = static_cast<double>(t.size());
+             };
+         }},
+        // The end-to-end path: one EXPERIMENTS build (the whole
+        // measurement plan) plus both renders. Full suite only, so
+        // the quick perf_gate stays fast. peakRssMib is the process
+        // high-water mark, so run it alone (--scenario) to attribute
+        // it to the build.
+        {"report_e2e",
+         "full report build (one measurement plan) and both renders",
+         false,
+         [](BenchContext &) {
+             (void)standardImages(); // image synthesis is set-up
+             return [](BenchContext &ctx) {
+                 check::PlanTotals before = check::planTotals();
+                 obs::Report report = check::buildExperimentsReport();
+                 size_t bytes = obs::renderMarkdown(report).size() +
+                                obs::renderHtml(report).size();
+                 if (bytes == 0)
+                     throw std::runtime_error("empty report");
+                 check::PlanTotals after = check::planTotals();
+                 ctx.extra["items"] =
+                     static_cast<double>(after.items - before.items);
+                 ctx.extra["tracesGenerated"] = static_cast<double>(
+                     after.generated - before.generated);
+                 ctx.extra["peakRssMib"] =
+                     static_cast<double>(prof::peakRssBytes()) /
+                     (1 << 20);
              };
          }},
         {"trace_spill_replay",

@@ -10,7 +10,8 @@
  *   memo-report --markdown     # render EXPERIMENTS.md to stdout
  *   memo-report --html         # render REPORT.html to stdout
  *
- * The report runs the same check::measure* entry points the bench_*
+ * The report runs one measurement plan (check/plan.hh), the
+ * computation behind the check::measure* entry points the bench_*
  * binaries and the golden snapshots use, so its numbers agree with
  * both by construction. Rendering is deterministic (no timestamps or
  * locale formatting), which is what lets the `report_drift` ctest
@@ -26,10 +27,9 @@
 #include <string>
 #include <vector>
 
+#include "check/plan.hh"
 #include "check/report.hh"
-#include "exec/trace_cache.hh"
 #include "obs/report.hh"
-#include "obs/stats.hh"
 
 namespace
 {
@@ -167,22 +167,14 @@ main(int argc, char **argv)
             ok = false;
         }
     }
-    // Trace-cache effectiveness of the measurement run, via the same
-    // gauges the profiler publishes (exec.traceCache.*). Write/check
-    // stdout is operator-facing, so this never touches the rendered
-    // artifacts (whose bytes --check just compared).
-    auto &cache = memo::exec::TraceCache::instance();
-    memo::obs::StatsRegistry cache_stats;
-    cache.publishStats(cache_stats);
-    auto snap = cache_stats.snapshot();
-    std::cout << "trace cache: "
-              << snap.gauges["exec.traceCache.hits"] << " hits, "
-              << snap.gauges["exec.traceCache.misses"] << " misses, "
-              << snap.gauges["exec.traceCache.evictions"]
-              << " evictions, "
-              << snap.gauges["exec.traceCache.residentBytes"] /
-                     (1024 * 1024)
-              << " MiB resident\n";
+    // The measurement plan's own counts: every trace key generated
+    // once. Write/check stdout is operator-facing, so this never
+    // touches the rendered artifacts (whose bytes --check just
+    // compared).
+    memo::check::PlanTotals plan = memo::check::planTotals();
+    std::cout << "plan: " << plan.items << " work items, "
+              << plan.generated << " traces generated, "
+              << plan.uniqueKeys << " unique keys\n";
 
     if (!ok)
         std::cout << "report drift: if the change is intended, "

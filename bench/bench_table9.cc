@@ -9,23 +9,18 @@
 
 #include <iostream>
 
+#include "check/plan.hh"
 #include "common.hh"
-#include "exec/parallel.hh"
 
 using namespace memo;
 
 namespace
 {
 
-// The measurement itself (check::measureTrivialModes) is shared with
-// the table9 golden snapshot; this binary only renders it.
+// The measurement itself (the check::runPlan Table 9 stage, behind
+// check::measureTrivialModes) is shared with the table9 golden
+// snapshot; this binary only renders it.
 using ModeRow = check::TrivialModeRow;
-
-/** All three units' rows for one application. */
-struct AppRows
-{
-    ModeRow im, fm, fd;
-};
 
 } // anonymous namespace
 
@@ -41,21 +36,20 @@ main()
     TextTable t({"application", "im trv", "im all", "im non",
                  "im intgr", "fm trv", "fm all", "fm non", "fm intgr",
                  "fd trv", "fd all", "fd non", "fd intgr"});
-    // One executor job per application; traces come from the shared
-    // cache, so each (app, image) pair is recorded exactly once.
-    auto rows = exec::sweep(apps, [](const std::string &name) {
-        const MmKernel &k = mmKernelByName(name);
-        return AppRows{
-            check::measureTrivialModes(k, Operation::IntMul),
-            check::measureTrivialModes(k, Operation::FpMul),
-            check::measureTrivialModes(k, Operation::FpDiv)};
-    });
+    // One measurement plan for every application and unit, so each
+    // (app, image) trace is recorded exactly once.
+    check::PlanRequest req;
+    req.trivialApps = apps;
+    req.trivialOps = {Operation::IntMul, Operation::FpMul,
+                      Operation::FpDiv};
+    const std::vector<std::vector<ModeRow>> rows =
+        check::runPlan(req).trivial;
 
     for (size_t ai = 0; ai < apps.size(); ai++) {
         const std::string &name = apps[ai];
-        const ModeRow &im = rows[ai].im;
-        const ModeRow &fm = rows[ai].fm;
-        const ModeRow &fd = rows[ai].fd;
+        const ModeRow &im = rows[ai][0];
+        const ModeRow &fm = rows[ai][1];
+        const ModeRow &fd = rows[ai][2];
         t.addRow({name, TextTable::ratio(im.trv),
                   TextTable::ratio(im.all), TextTable::ratio(im.non),
                   TextTable::ratio(im.intgr), TextTable::ratio(fm.trv),

@@ -103,21 +103,13 @@ makeBenchRecord(const std::string &scenario, const std::string &suite,
     // Uniform environment extras: every record of every suite carries
     // the host thread budget and the trace-cache memory trajectory, so
     // cross-suite tooling never has to special-case which scenario
-    // happened to record them. The disk-tier counters stay zero unless
-    // a spill directory is configured (MEMO_TRACE_SPILL_DIR or
-    // --trace-spill-dir on the tools).
+    // happened to record them.
     r.extra["hardwareThreads"] =
         static_cast<double>(std::thread::hardware_concurrency());
     const auto &tc = exec::TraceCache::instance();
     constexpr double mb = 1024.0 * 1024.0;
     r.extra["traceCacheResidentMb"] =
         static_cast<double>(tc.residentBytes()) / mb;
-    r.extra["traceCacheSpilledMb"] =
-        static_cast<double>(tc.spilledBytes()) / mb;
-    r.extra["traceCacheSharedMb"] =
-        static_cast<double>(tc.sharedBytes()) / mb;
-    r.extra["traceCacheSpills"] = static_cast<double>(tc.spills());
-    r.extra["traceCacheAdmits"] = static_cast<double>(tc.admits());
     return r;
 }
 

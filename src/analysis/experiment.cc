@@ -57,14 +57,6 @@ cachedMmKernelTrace(const MmKernel &kernel, const NamedImage &input,
         [&] { return traceMmKernel(kernel, input.image, max_dim); });
 }
 
-std::shared_ptr<const Trace>
-cachedSciTrace(const SciWorkload &workload)
-{
-    return exec::TraceCache::instance().get(
-        {workload.name, "", 0},
-        [&] { return traceSciWorkload(workload); });
-}
-
 namespace
 {
 
@@ -191,54 +183,6 @@ replayMemoReference(const Trace &trace, MemoBank &bank)
     foldReplayStats(bank, before, trace.size());
 }
 
-void
-replayMemoStreamed(const SpillStore &store, const std::string &key,
-                   MemoBank &bank)
-{
-    auto before = snapshotStats(bank);
-
-    MemoTable *tables[numInstClasses] = {};
-    for (unsigned c = 0; c < numInstClasses; c++)
-        if (auto op = memoOperation(static_cast<InstClass>(c)))
-            tables[c] = bank.table(*op);
-
-    // One decoded operand chunk in flight at a time: cls/a/b/r hold
-    // the current chunk's columns, part[] its stable per-class
-    // partition. Chunks arrive in trace order and partitioning keeps
-    // relative order, so each table sees exactly the access sequence
-    // replayMemo() feeds it from the in-memory columns; only the
-    // probeBlock call boundaries differ, which the batch-probe
-    // contract (probeBlock(n) == n scalar lookup/update calls) makes
-    // invisible.
-    SpillStore::Reader reader = store.open(key);
-    std::vector<uint64_t> cls, a, b, r;
-    std::array<TraceStore::ClassColumns, numInstClasses> part;
-    for (size_t chunk = 0; chunk < reader.opChunkCount(); chunk++) {
-        reader.readOpChunk(chunk, cls, a, b, r);
-        for (auto &p : part) {
-            p.a.clear();
-            p.b.clear();
-            p.r.clear();
-        }
-        for (size_t i = 0; i < cls.size(); i++) {
-            uint64_t c = cls[i];
-            if (c >= numInstClasses)
-                throw SpillError("opCls: value " + std::to_string(c) +
-                                 " is not an InstClass");
-            if (!tables[c])
-                continue;
-            part[c].a.push_back(a[i]);
-            part[c].b.push_back(b[i]);
-            part[c].r.push_back(r[i]);
-        }
-        for (unsigned c = 0; c < numInstClasses; c++)
-            if (tables[c])
-                probeColumns(*tables[c], part[c]);
-    }
-
-    foldReplayStats(bank, before, reader.records());
-}
-
 namespace
 {
 
@@ -286,15 +230,6 @@ measureMmKernelOnImage(const MmKernel &kernel, const Image &input,
     MemoBank bank = MemoBank::standard(cfg);
     Trace trace = traceMmKernel(kernel, input, max_dim);
     replayMemo(trace, bank);
-    return hitsOf(bank);
-}
-
-UnitHits
-measureSci(const SciWorkload &workload, const MemoConfig &cfg)
-{
-    MemoBank bank = MemoBank::standard(cfg);
-    auto trace = cachedSciTrace(workload);
-    replayMemo(*trace, bank);
     return hitsOf(bank);
 }
 

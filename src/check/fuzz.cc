@@ -19,7 +19,6 @@
 #include "lint/analyzer.hh"
 #include "lint/lexer.hh"
 #include "sim/cpu.hh"
-#include "trace/chunk_codec.hh"
 #include "trace/trace.hh"
 
 namespace memo::check
@@ -810,143 +809,6 @@ cpuCase(FuzzRng &rng, uint64_t case_index, const FuzzOptions &opts)
 }
 
 /**
- * Chunk-codec differential (the spill tier's byte format,
- * trace/chunk_codec.hh): a random trace must survive
- * encode -> decode bit-exactly at an arbitrary chunk width — including
- * widths that do not divide the column lengths — and flipping any
- * single bit of any encoded chunk or of the manifest must be rejected
- * with SpillError, never silently decoded.
- */
-std::optional<FuzzFailure>
-chunkCodecCase(FuzzRng &rng, uint64_t case_index,
-               const FuzzOptions &opts)
-{
-    static constexpr InstClass classes[] = {
-        InstClass::IntAlu, InstClass::IntAlu, InstClass::Load,
-        InstClass::Store,  InstClass::Branch, InstClass::FpAdd,
-        InstClass::IntMul, InstClass::FpMul,  InstClass::FpMul,
-        InstClass::FpDiv,  InstClass::FpSqrt, InstClass::FpLog,
-        InstClass::FpSin,  InstClass::FpCos,  InstClass::FpExp};
-
-    ValuePool ipool, fpool_a, fpool_b;
-    Trace trace;
-    // 0..streamLen records: short and empty traces are format edge
-    // cases (zero-chunk columns) the round-trip must cover too.
-    unsigned len = static_cast<unsigned>(rng.below(opts.streamLen + 1));
-    for (unsigned i = 0; i < len; i++) {
-        Instruction inst;
-        inst.cls = classes[rng.below(std::size(classes))];
-        inst.pc = static_cast<uint32_t>(rng.below(64)) * 4;
-        if (auto op = memoOperation(inst.cls)) {
-            bool fp = isFloat(*op);
-            inst.a = fp ? fuzzDoubleBits(rng, fpool_a)
-                        : fuzzIntBits(rng, ipool);
-            if (!isUnary(*op))
-                inst.b = fp ? fuzzDoubleBits(rng, fpool_b)
-                            : fuzzIntBits(rng, ipool);
-            inst.result = computeResult(*op, inst.a, inst.b);
-        } else if (inst.cls == InstClass::Load ||
-                   inst.cls == InstClass::Store) {
-            inst.addr = rng.below(1 << 20) * 8;
-        }
-        trace.push(inst);
-    }
-
-    static constexpr uint32_t widths[] = {1, 2, 3, 7, 64, 1024, 65536};
-    const uint32_t chunk_elems = widths[rng.below(std::size(widths))];
-
-    auto fail = [&](const std::string &what) {
-        FuzzFailure f;
-        f.caseIndex = case_index;
-        f.kind = "chunk-codec";
-        f.what = what;
-        std::ostringstream repro;
-        repro << "memo_fuzz --seed " << opts.seed << " --iters "
-              << (case_index + 1) << " --stream " << opts.streamLen;
-        f.repro = repro.str();
-        f.detail = "trace of " + std::to_string(trace.size()) +
-                   " instructions, chunk width " +
-                   std::to_string(chunk_elems);
-        return f;
-    };
-
-    EncodedTrace enc = encodeTraceChunked(trace, chunk_elems);
-    Trace back;
-    try {
-        back = decodeTraceChunked(enc);
-    } catch (const SpillError &e) {
-        return fail(std::string("clean decode rejected: ") + e.what());
-    }
-    if (back.size() != trace.size())
-        return fail("decode changed record count: " +
-                    std::to_string(trace.size()) + " -> " +
-                    std::to_string(back.size()));
-    for (size_t i = 0; i < trace.size(); i++) {
-        Instruction x = trace[i], y = back[i];
-        if (x.cls != y.cls || x.pc != y.pc || x.a != y.a ||
-            x.b != y.b || x.result != y.result || x.addr != y.addr)
-            return fail("decode not bit-exact at record " +
-                        std::to_string(i));
-    }
-
-    // Manifest round-trip.
-    TraceManifest m = manifestOf("fuzz|case", enc);
-    std::string mbytes = encodeManifest(m);
-    try {
-        TraceManifest m2 = decodeManifest(mbytes);
-        if (m2.key != m.key || m2.records != m.records ||
-            m2.ops != m.ops || m2.addrs != m.addrs)
-            return fail("manifest round-trip changed header fields");
-        for (size_t c = 0; c < kNumTraceColumns; c++) {
-            if (m2.cols[c].size() != m.cols[c].size())
-                return fail("manifest round-trip changed chunk lists");
-            for (size_t i = 0; i < m.cols[c].size(); i++)
-                if (m2.cols[c][i].hash != m.cols[c][i].hash ||
-                    m2.cols[c][i].elems != m.cols[c][i].elems)
-                    return fail("manifest round-trip changed chunk " +
-                                std::to_string(i));
-        }
-    } catch (const SpillError &e) {
-        return fail(std::string("clean manifest rejected: ") +
-                    e.what());
-    }
-
-    // Corruption detection: every bit of every artifact is load-
-    // bearing (header fields are checked, payloads are hashed), so a
-    // random single-bit flip must throw — reaching the element
-    // comparison above would mean corruption decoded silently.
-    std::vector<EncodedChunk *> chunks;
-    for (EncodedColumn &col : enc.cols)
-        for (EncodedChunk &ch : col.chunks)
-            chunks.push_back(&ch);
-    if (!chunks.empty()) {
-        EncodedChunk *victim = chunks[rng.below(chunks.size())];
-        size_t byte = rng.below(victim->bytes.size());
-        victim->bytes[byte] = static_cast<char>(
-            static_cast<uint8_t>(victim->bytes[byte]) ^
-            (1u << rng.below(8)));
-        try {
-            decodeTraceChunked(enc);
-            return fail("flipped bit " + std::to_string(byte * 8) +
-                        " of a chunk decoded without error");
-        } catch (const SpillError &) {
-            // expected
-        }
-    }
-    size_t mbit = rng.below(mbytes.size());
-    mbytes[mbit] = static_cast<char>(
-        static_cast<uint8_t>(mbytes[mbit]) ^ (1u << rng.below(8)));
-    try {
-        decodeManifest(mbytes);
-        return fail("flipped manifest byte " + std::to_string(mbit) +
-                    " parsed without error");
-    } catch (const SpillError &) {
-        // expected
-    }
-    return std::nullopt;
-}
-
-/**
  * Seed fragments for the memo-lint fuzz case: plausible C++ that
  * exercises the analyzer's passes (capability model, I/O rule,
  * determinism rules, suppressions, preprocessor and literal lexing).
@@ -1197,6 +1059,8 @@ runFuzzCase(uint64_t case_index, const FuzzOptions &opts)
       case 0:
       case 1:
       case 2:
+      case 8: // a retired kind's slot: the draw stays rng.below(11) so
+              // every other index keeps its kind and old repros hold
         return tableCase(rng, case_index, opts, 0, false);
       case 3:
         return tableCase(rng, case_index, opts, 1, false);
@@ -1208,8 +1072,6 @@ runFuzzCase(uint64_t case_index, const FuzzOptions &opts)
         return recipCacheCase(rng, case_index, opts);
       case 7:
         return batchedReplayCase(rng, case_index, opts, ReplayFault::None);
-      case 8:
-        return chunkCodecCase(rng, case_index, opts);
       case 9:
         return lintCase(rng, case_index, opts);
       default:

@@ -10,10 +10,7 @@
  * kind additionally replays a random instruction trace through
  * memoized-vs-baseline CpuModel runs, checks cycle/stats
  * conservation and checks the closed form (CpuModel::evaluate)
- * against run(), and another round-trips a random trace through the
- * spill tier's chunk codec (trace/chunk_codec.hh) — decode must be
- * bit-exact and any single-bit corruption must be rejected with
- * SpillError, and another feeds a mutated pseudo-C++ translation unit
+ * against run(), and another feeds a mutated pseudo-C++ translation unit
  * through the memo-lint lexer and analyzer (src/lint/), which must
  * never crash, stay deterministic, and keep token/comment positions
  * coherent. Everything is deterministic: the same --seed/--iters

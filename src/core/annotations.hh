@@ -4,7 +4,7 @@
  * primitives built on them.
  *
  * Every shared-state subsystem in this repository (ThreadPool,
- * TraceCache and its spill tier, StatsRegistry, Profiler, Heartbeat,
+ * TraceCache, StatsRegistry, Profiler, Heartbeat,
  * LineGenerations, the lazy TraceStore partition) carries hand-written
  * locking contracts; this header makes those contracts machine-checked.
  * Under Clang the macros expand to the capability attributes consumed

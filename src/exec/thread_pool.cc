@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
+#include "exec/env.hh"
 #include "obs/stats.hh"
 #include "prof/prof.hh"
 
@@ -129,11 +131,9 @@ ThreadPool::publishUtilization(obs::StatsRegistry &reg) const
 unsigned
 ThreadPool::defaultJobs()
 {
-    if (const char *env = std::getenv("MEMO_JOBS")) {
-        int n = std::atoi(env);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-    }
+    if (auto n = parsePositive(std::getenv("MEMO_JOBS"),
+                               std::numeric_limits<unsigned>::max()))
+        return static_cast<unsigned>(*n);
     return std::max(1u, std::thread::hardware_concurrency());
 }
 

@@ -52,8 +52,9 @@ class ThreadPool
 
     /**
      * The default parallelism: the MEMO_JOBS environment variable when
-     * set to a positive integer, otherwise hardware_concurrency()
-     * (minimum 1).
+     * it is a positive decimal integer that fits in `unsigned` (see
+     * parsePositive() in exec/env.hh), otherwise
+     * hardware_concurrency() (minimum 1).
      */
     static unsigned defaultJobs();
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "exec/env.hh"
 #include "obs/stats.hh"
 
 namespace memo::exec
@@ -13,12 +14,9 @@ namespace
 size_t
 defaultBudget()
 {
-    if (const char *env = std::getenv("MEMO_TRACE_CACHE_MB")) {
-        long mb = std::atol(env);
-        if (mb > 0)
-            return static_cast<size_t>(mb) * 1024 * 1024;
-    }
-    return size_t{768} * 1024 * 1024;
+    if (auto bytes = parseMebibytes(std::getenv("MEMO_TRACE_CACHE_MB")))
+        return *bytes;
+    return size_t{768} << 20;
 }
 
 } // anonymous namespace
@@ -26,10 +24,6 @@ defaultBudget()
 TraceCache::TraceCache(size_t budget_bytes)
     : budget(budget_bytes ? budget_bytes : defaultBudget())
 {
-    if (const char *env = std::getenv("MEMO_TRACE_SPILL_DIR")) {
-        if (*env)
-            spill_ = std::make_shared<SpillStore>(env);
-    }
 }
 
 TraceCache &
@@ -39,23 +33,6 @@ TraceCache::instance()
     // taken under the cache's own mutex.
     static TraceCache cache; // NOLINT(memo-CONC-003)
     return cache;
-}
-
-void
-TraceCache::setSpillDir(const std::string &dir)
-{
-    std::shared_ptr<SpillStore> store;
-    if (!dir.empty())
-        store = std::make_shared<SpillStore>(dir);
-    MutexLock lk(m);
-    spill_ = std::move(store);
-}
-
-std::string
-TraceCache::spillDir() const
-{
-    MutexLock lk(m);
-    return spill_ ? spill_->root() : std::string();
 }
 
 void
@@ -76,7 +53,6 @@ std::shared_ptr<const Trace>
 TraceCache::get(const TraceKey &key, const Generator &gen)
 {
     std::shared_ptr<Slot> slot;
-    std::shared_ptr<SpillStore> spill;
     {
         MutexLock lk(m);
         auto it = map.find(key);
@@ -87,39 +63,19 @@ TraceCache::get(const TraceKey &key, const Generator &gen)
             map[key] = lru.begin();
         }
         slot = lru.front().second;
-        spill = spill_;
     }
 
     // Generation runs outside the map lock: distinct keys generate
     // concurrently, while a second requester of the same key blocks
-    // here until the first finishes.
+    // here until the first finishes. Evicted traces are freed when
+    // `victims` goes out of scope, after both locks are released.
     Victims victims;
     std::shared_ptr<const Trace> result;
     {
         MutexLock sl(slot->m);
         if (!slot->trace) {
-            // Miss: the disk tier first (a spilled trace decodes
-            // bit-exactly and skips the generator), then generation.
-            // Any disk defect is survivable — count it and fall back.
-            if (spill) {
-                std::string skey = spillKeyOf(key);
-                try {
-                    if (spill->contains(skey)) {
-                        slot->trace = std::make_shared<const Trace>(
-                            spill->read(skey));
-                        admits_.fetch_add(1,
-                                          std::memory_order_relaxed);
-                    }
-                } catch (const SpillError &) {
-                    slot->trace.reset();
-                    spillErrors_.fetch_add(1,
-                                           std::memory_order_relaxed);
-                }
-            }
-            if (!slot->trace) {
-                slot->trace = std::make_shared<const Trace>(gen());
-                generated_.fetch_add(1, std::memory_order_relaxed);
-            }
+            slot->trace = std::make_shared<const Trace>(gen());
+            generated_.fetch_add(1, std::memory_order_relaxed);
             // The 0 -> n transition of slot->bytes happens under the
             // cache mutex, together with its totalBytes contribution:
             // an eviction walk (which runs with `m` held) can then
@@ -135,10 +91,6 @@ TraceCache::get(const TraceKey &key, const Generator &gen)
         }
         result = slot->trace;
     }
-
-    // Spill writes happen outside every cache lock: lookups of other
-    // keys (and of this one) proceed while victims are encoded.
-    spillVictims(spill, victims);
     return result;
 }
 
@@ -165,40 +117,6 @@ TraceCache::evictOverBudget(const std::shared_ptr<Slot> &keep)
     return victims;
 }
 
-void
-TraceCache::spillVictims(const std::shared_ptr<SpillStore> &spill,
-                         const Victims &victims)
-{
-    if (!spill)
-        return;
-    for (const auto &[key, slot] : victims) {
-        std::string skey = spillKeyOf(key);
-        // Victims are unreachable from the map, but a requester that
-        // grabbed the slot before eviction may still hold its mutex;
-        // copy the trace pointer under it (uncontended in practice —
-        // a victim's generation finished before it became evictable).
-        std::shared_ptr<const Trace> trace;
-        {
-            MutexLock sl(slot->m);
-            trace = slot->trace;
-        }
-        try {
-            if (spill->contains(skey))
-                continue; // already durable from an earlier spill
-            SpillStore::WriteStats ws = spill->write(skey, *trace);
-            spills_.fetch_add(1, std::memory_order_relaxed);
-            spilledBytes_.fetch_add(ws.bytesWritten,
-                                    std::memory_order_relaxed);
-            sharedBytes_.fetch_add(ws.bytesShared,
-                                   std::memory_order_relaxed);
-        } catch (const SpillError &) {
-            // Disk full / permissions / races: the cache must never
-            // fail a lookup over its own maintenance.
-            spillErrors_.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-}
-
 size_t
 TraceCache::entries() const
 {
@@ -221,11 +139,6 @@ TraceCache::publishStats(obs::StatsRegistry &reg) const
     reg.gaugeMax("exec.traceCache.evictions", evictions());
     reg.gaugeMax("exec.traceCache.entries", entries());
     reg.gaugeMax("exec.traceCache.residentBytes", residentBytes());
-    reg.gaugeMax("exec.traceCache.spills", spills());
-    reg.gaugeMax("exec.traceCache.admits", admits());
-    reg.gaugeMax("exec.traceCache.spilledBytes", spilledBytes());
-    reg.gaugeMax("exec.traceCache.sharedBytes", sharedBytes());
-    reg.gaugeMax("exec.traceCache.spillErrors", spillErrors());
 }
 
 void

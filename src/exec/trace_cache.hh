@@ -14,19 +14,12 @@
  *
  * Entries are evicted least-recently-used once the cached bytes
  * exceed a budget (default 768 MiB, override with the
- * MEMO_TRACE_CACHE_MB environment variable); outstanding shared_ptr
+ * MEMO_TRACE_CACHE_MB environment variable, a positive whole number
+ * of MiB; malformed values keep the default); outstanding shared_ptr
  * holders keep evicted traces alive, so eviction only ever costs a
- * regeneration.
- *
- * With a spill directory configured (setSpillDir() or the
- * MEMO_TRACE_SPILL_DIR environment variable) the cache gains a disk
- * tier: evicted traces are written to a content-addressed SpillStore
- * (trace/spill.hh; format in docs/TRACE_FORMAT.md) and misses try an
- * admit-from-disk decode before running the generator. Decode is
- * bit-exact, so results are identical whichever tier serves a trace;
- * any disk defect (SpillError) falls back to regeneration and bumps
- * the spillErrors counter. Without a spill directory behaviour is
- * exactly the RAM-only cache described above.
+ * regeneration. Generation is deterministic, so a regenerated trace
+ * is bit-identical to the evicted one and results never depend on
+ * the budget.
  */
 
 #ifndef MEMO_EXEC_TRACE_CACHE_HH
@@ -40,10 +33,10 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/annotations.hh"
 
-#include "trace/spill.hh"
 #include "trace/trace.hh"
 
 namespace memo::obs
@@ -82,18 +75,6 @@ struct TraceKey
     };
 };
 
-/**
- * Stable textual identity of @p key in the spill store; the crop is
- * part of the trace's content, the table configuration is not, so
- * sweep points differing only in config share one spilled trace.
- */
-inline std::string
-spillKeyOf(const TraceKey &key)
-{
-    return key.workload + "|" + key.image + "|" +
-           std::to_string(key.crop);
-}
-
 /** LRU-bounded map from TraceKey to a shared immutable Trace. */
 class TraceCache
 {
@@ -115,18 +96,6 @@ class TraceCache
                                      const Generator &gen);
 
     /**
-     * Point the disk tier at @p dir (created if needed); an empty
-     * string disables spilling. Traces already on disk under @p dir
-     * are admitted on miss. Not thread-safe against concurrent get()
-     * — configure before the sweep starts, as the CLI flags and the
-     * MEMO_TRACE_SPILL_DIR environment variable do.
-     */
-    void setSpillDir(const std::string &dir);
-
-    /** The configured spill directory; empty when disabled. */
-    std::string spillDir() const;
-
-    /**
      * Replace the resident-bytes budget (0 = back to the default /
      * MEMO_TRACE_CACHE_MB). Takes effect at the next insertion; it
      * does not evict already-resident entries by itself.
@@ -146,11 +115,10 @@ class TraceCache
     uint64_t generated() const { return generated_.load(); }
 
     /**
-     * Lookups not served from a resident entry: every miss either
-     * admits the trace from the disk tier or runs the generator
-     * exactly once.
+     * Lookups not served from a resident entry; each runs the
+     * generator exactly once, so this equals generated().
      */
-    uint64_t misses() const { return generated_.load() + admits_.load(); }
+    uint64_t misses() const { return generated(); }
 
     /** Lookups served from a resident entry. */
     uint64_t hits() const { return hits_.load(); }
@@ -158,29 +126,10 @@ class TraceCache
     /** Entries dropped by the LRU budget walk (not by clear()). */
     uint64_t evictions() const { return evictions_.load(); }
 
-    /** Evicted traces written to the disk tier. */
-    uint64_t spills() const { return spills_.load(); }
-
-    /** Misses served by decoding a spilled trace (generator skipped). */
-    uint64_t admits() const { return admits_.load(); }
-
-    /** Encoded bytes written by spills (manifests + new chunks). */
-    uint64_t spilledBytes() const { return spilledBytes_.load(); }
-
-    /**
-     * Encoded bytes a spill did NOT write because identical chunks
-     * were already in the store (content-addressed dedup).
-     */
-    uint64_t sharedBytes() const { return sharedBytes_.load(); }
-
-    /** Disk-tier defects survived by falling back to regeneration. */
-    uint64_t spillErrors() const { return spillErrors_.load(); }
-
     /**
      * Fold the cache counters into @p reg as gauges
-     * (exec.traceCache.{hits,misses,evictions,entries,residentBytes}
-     * plus the disk tier's {spills,admits,spilledBytes,sharedBytes,
-     * spillErrors}). Gauges take the max, so repeated publication
+     * (exec.traceCache.{hits,misses,evictions,entries,
+     * residentBytes}). Gauges take the max, so repeated publication
      * is idempotent. Eviction order is scheduling-dependent under
      * concurrency, so callers must keep these out of registries whose
      * snapshots feed determinism diffs (memo-report's stdout summary
@@ -188,11 +137,7 @@ class TraceCache
      */
     void publishStats(obs::StatsRegistry &reg) const;
 
-    /**
-     * Drop every resident entry (shared holders stay valid). The
-     * disk tier is untouched: spilled traces stay admittable, which
-     * is what lets a capped rerun reuse the previous run's chunks.
-     */
+    /** Drop every resident entry (shared holders stay valid). */
     void clear();
 
   private:
@@ -213,14 +158,12 @@ class TraceCache
     using Victims =
         std::vector<std::pair<TraceKey, std::shared_ptr<Slot>>>;
 
-    /** Called with `m` held; returns the entries it dropped. */
+    /**
+     * Called with `m` held; returns the entries it dropped, so the
+     * caller frees their traces after releasing every lock.
+     */
     Victims evictOverBudget(const std::shared_ptr<Slot> &keep)
         MEMO_REQUIRES(m);
-
-    /** Writes victims to the disk tier; takes no cache-wide locks
-     *  (only each victim's slot mutex, briefly). */
-    void spillVictims(const std::shared_ptr<SpillStore> &spill,
-                      const Victims &victims) MEMO_EXCLUDES(m);
 
     mutable Mutex m;
     LruList lru MEMO_GUARDED_BY(m); //!< front = most recently used
@@ -228,16 +171,9 @@ class TraceCache
         MEMO_GUARDED_BY(m);
     size_t totalBytes MEMO_GUARDED_BY(m) = 0;
     size_t budget MEMO_GUARDED_BY(m);
-    std::shared_ptr<SpillStore> spill_
-        MEMO_GUARDED_BY(m); //!< null = disk tier off
     std::atomic<uint64_t> generated_{0};
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> evictions_{0};
-    std::atomic<uint64_t> spills_{0};
-    std::atomic<uint64_t> admits_{0};
-    std::atomic<uint64_t> spilledBytes_{0};
-    std::atomic<uint64_t> sharedBytes_{0};
-    std::atomic<uint64_t> spillErrors_{0};
 };
 
 } // namespace memo::exec

@@ -71,12 +71,12 @@ ruleCatalog()
          "body, or annotate the declaration MEMO_REQUIRES(<mutex>) "
          "and make every caller hold it"},
         {"memo-IO-001", "IO", Severity::Error,
-         "discarded stdio/filesystem result in src/trace; the disk "
-         "tier's contract is that every read-side defect surfaces as "
-         "a SpillError, so I/O outcomes must not be dropped",
-         "check the return value and throw SpillError on failure "
-         "(or use the fs:: error_code overloads and test the code), "
-         "as trace/spill.cc does"},
+         "discarded stdio/filesystem result in src/trace; the trace "
+         "file contract is that every read-side defect surfaces as "
+         "a std::runtime_error, so I/O outcomes must not be dropped",
+         "check the return value and throw std::runtime_error on "
+         "failure (or use the fs:: error_code overloads and test the "
+         "code), as trace/io.cc does"},
         {"memo-API-001", "API", Severity::Warning,
          "MemoStats polled via Table::stats() from the obs/exec "
          "layer; observability must subscribe through TableHooks so "

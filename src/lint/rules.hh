@@ -15,9 +15,9 @@
  *  - CONC: concurrency hazards outside the sanctioned executor
  *          (raw threads, mutable shared state, guarded fields used
  *          without their capability annotations);
- *  - IO:   dropped I/O outcomes in the trace disk tier, whose
+ *  - IO:   dropped I/O outcomes in the trace file layer, whose
  *          contract is that every read-side defect surfaces as a
- *          SpillError;
+ *          std::runtime_error (trace/io.cc);
  *  - API:  bypasses of repo-internal observability contracts.
  */
 

@@ -163,14 +163,10 @@ class TraceStore
     const uint64_t *opResults() const { return opRes_.data(); }
 
     /**
-     * Raw per-record and address columns, for column-wise export (the
-     * spill encoder in trace/chunk_codec.hh). The derived payload
-     * index is deliberately not exposed: it is reconstructed exactly
-     * from the class sequence on import.
+     * Raw per-record class and address columns, for consumers that
+     * walk a trace column-wise (the CPU cost pass in sim/cpu.cc).
      */
     const uint8_t *clsData() const { return cls_.data(); }
-    const uint32_t *pcData() const { return pc_.data(); }
-    size_t addrCount() const { return addr_.size(); }
     const uint64_t *addrData() const { return addr_.data(); }
 
     /**

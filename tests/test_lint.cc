@@ -334,16 +334,16 @@ TEST(LintRules, Conc005GuardedFieldNeedsLockOrRequires)
 TEST(LintRules, Io001OnlyInTraceAndOnlyDiscarded)
 {
     std::string src = "void f(FILE *fp) { fseek(fp, 0, 0); }\n";
-    EXPECT_EQ(ruleIdsOf(src, "src/trace/spill.cc"),
+    EXPECT_EQ(ruleIdsOf(src, "src/trace/io.cc"),
               (std::vector<std::string>{"memo-IO-001"}));
-    // Path-scoped: the same code outside src/trace is not the spill
-    // tier's contract.
+    // Path-scoped: the same code outside src/trace is not the trace
+    // file layer's contract.
     EXPECT_TRUE(ruleIdsOf(src, "src/core/aligned.cc").empty());
     std::string checked = "void f(FILE *fp) {\n"
                           "    if (fseek(fp, 0, 0) != 0)\n"
                           "        fail();\n"
                           "}\n";
-    EXPECT_TRUE(ruleIdsOf(checked, "src/trace/spill.cc").empty());
+    EXPECT_TRUE(ruleIdsOf(checked, "src/trace/io.cc").empty());
 }
 
 TEST(LintRules, LintAsOverride)

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "check/golden.hh"
@@ -19,6 +17,7 @@
 #include "exec/trace_cache.hh"
 #include "img/generate.hh"
 #include "obs/stats.hh"
+#include "scoped_env.hh"
 #include "workloads/workload.hh"
 
 namespace memo
@@ -28,32 +27,6 @@ namespace
 
 using check::PlanResult;
 using check::PlanTotals;
-
-/** Set MEMO_JOBS for one scope, restoring the previous value. */
-class ScopedJobs
-{
-  public:
-    explicit ScopedJobs(const char *jobs)
-    {
-        if (const char *v = std::getenv("MEMO_JOBS"))
-            saved_ = v;
-        setenv("MEMO_JOBS", jobs, 1);
-    }
-
-    ~ScopedJobs()
-    {
-        if (saved_)
-            setenv("MEMO_JOBS", saved_->c_str(), 1);
-        else
-            unsetenv("MEMO_JOBS");
-    }
-
-    ScopedJobs(const ScopedJobs &) = delete;
-    ScopedJobs &operator=(const ScopedJobs &) = delete;
-
-  private:
-    std::optional<std::string> saved_;
-};
 
 TEST(MeasurePlan, ReportBuildGeneratesEachKeyOnce)
 {
@@ -114,7 +87,7 @@ TEST(MeasurePlan, SelectorsEqualTheAllStagePlan)
 TEST(MeasurePlan, RegistrySnapshotIdenticalAtJobs1And4)
 {
     auto snapshotAt = [](const char *jobs) {
-        ScopedJobs scoped(jobs);
+        ScopedEnv scoped("MEMO_JOBS", jobs);
         check::buildExperimentsReport();
         return obs::StatsRegistry::global().snapshot().serialize();
     };

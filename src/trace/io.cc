@@ -1,5 +1,6 @@
 #include "io.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
@@ -147,8 +148,12 @@ readTrace(std::istream &in)
     uint32_t version = getU32(header + 8);
     uint32_t count = getU32(header + 12);
 
+    // The count is untrusted until its records are read: a corrupt
+    // header must end in "truncated", not in a reservation of up to
+    // 2^32 records, so reserve at most reserveCap and grow past it.
+    constexpr uint32_t reserveCap = uint32_t{1} << 20;
     Trace trace;
-    trace.reserve(count);
+    trace.reserve(std::min(count, reserveCap));
     if (version == versionDelta) {
         DeltaState st;
         for (uint32_t i = 0; i < count; i++) {

@@ -147,5 +147,67 @@ TEST(TraceIo, FileRoundTrip)
     std::remove(path.c_str());
 }
 
+TEST(TraceIo, RejectsUnknownVersion)
+{
+    Trace t = sampleTrace();
+    std::stringstream ss;
+    writeTrace(t, ss, false);
+    std::string data = ss.str();
+    data[8] = 3; // header bytes 8..11: little-endian version
+    std::stringstream bad(data);
+    EXPECT_THROW(readTrace(bad), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsEveryProperPrefixOfCompressed)
+{
+    // Any cut of a v2 stream, inside the header or inside any
+    // varint of any record, is malformed input.
+    Trace t = sampleTrace();
+    std::stringstream ss;
+    writeTrace(t, ss);
+    const std::string data = ss.str();
+    for (size_t len = 0; len < data.size(); len++) {
+        std::stringstream cut(data.substr(0, len));
+        EXPECT_THROW(readTrace(cut), std::runtime_error)
+            << "prefix of " << len << " of " << data.size() << " bytes";
+    }
+}
+
+TEST(TraceIo, RejectsBadClassCompressed)
+{
+    Trace t = sampleTrace();
+    std::stringstream ss;
+    writeTrace(t, ss);
+    std::string data = ss.str();
+    data[16] = 127; // the first record's class byte
+    std::stringstream bad(data);
+    EXPECT_THROW(readTrace(bad), std::runtime_error);
+}
+
+TEST(TraceIo, HugeDeclaredCountIsTruncationNotBadAlloc)
+{
+    // A bare header claiming 2^32 - 1 records, in both formats: the
+    // reader must report truncation rather than reserve for the
+    // claimed count (std::bad_alloc is not a std::runtime_error).
+    for (bool compressed : {false, true}) {
+        std::stringstream ss;
+        writeTrace(Trace{}, ss, compressed);
+        std::string data = ss.str();
+        ASSERT_EQ(data.size(), 16u);
+        for (int i = 12; i < 16; i++)
+            data[i] = '\xff';
+        std::stringstream bad(data);
+        EXPECT_THROW(readTrace(bad), std::runtime_error)
+            << (compressed ? "v2" : "v1");
+    }
+}
+
+TEST(TraceIo, UnopenablePathsThrow)
+{
+    const std::string path = "/nonexistent-memo-dir/trace.bin";
+    EXPECT_THROW(readTrace(path), std::runtime_error);
+    EXPECT_THROW(writeTrace(sampleTrace(), path), std::runtime_error);
+}
+
 } // anonymous namespace
 } // namespace memo

@@ -10,16 +10,18 @@
  *
  * Usage: bench_sweep_scaling [output.json] [jobs]
  *   output.json  defaults to BENCH_sweep.json in the CWD
- *   jobs         parallel worker count (default 8, capped by the pool)
+ *   jobs         parallel worker count (default 8, capped by the pool;
+ *                0 means ThreadPool::defaultJobs())
  */
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <thread>
 
 #include "common.hh"
+#include "exec/env.hh"
 #include "exec/parallel.hh"
 #include "exec/trace_cache.hh"
 #include "prof/prof.hh"
@@ -145,9 +147,17 @@ int
 main(int argc, char **argv)
 {
     const char *out_path = argc > 1 ? argv[1] : "BENCH_sweep.json";
-    unsigned jobs = argc > 2
-                        ? static_cast<unsigned>(std::atoi(argv[2]))
-                        : 8u;
+    unsigned jobs = 8;
+    if (argc > 2) {
+        auto n = exec::parseUnsigned(argv[2], UINT_MAX);
+        if (!n) {
+            std::fprintf(stderr, "bench_sweep_scaling: jobs must be an "
+                                 "unsigned integer, got '%s'\n",
+                         argv[2]);
+            return 1;
+        }
+        jobs = static_cast<unsigned>(*n);
+    }
     if (jobs == 0)
         jobs = exec::ThreadPool::defaultJobs();
 

@@ -136,31 +136,18 @@ replayMemo(const Trace &trace, MemoBank &bank)
 void
 probeMemo(const Trace &trace, MemoBank &bank)
 {
-    // Devirtualize the per-access table dispatch: one pointer per
-    // instruction class, resolved once. Classes without a table in
-    // this bank (or not memoizable at all) stay null and their
-    // accesses are skipped, exactly as the scalar loop skips them.
-    MemoTable *tables[numInstClasses] = {};
-    bool any = false;
-    for (unsigned c = 0; c < numInstClasses; c++) {
-        if (auto op = memoOperation(static_cast<InstClass>(c))) {
-            tables[c] = bank.table(*op);
-            any = any || tables[c] != nullptr;
-        }
-    }
-
+    // Each class's operand column streams through its table in
+    // kReplayBlock chunks. Accesses of one table keep their trace
+    // order and different tables are independent state, so the
+    // per-class passes are exact, not approximate. Classes without a
+    // table in this bank (or not memoizable at all) are skipped,
+    // exactly as the scalar loop skips them.
     const TraceStore &store = trace.store();
-    if (any && store.opCount()) {
-        // Blocked columnar passes over the store's dense per-class
-        // partition: each table streams its own contiguous operand
-        // columns (built once per trace, cached, shared by every
-        // replay of it) in kReplayBlock chunks. Accesses of one table
-        // keep their trace order and different tables are independent
-        // state, so the partitioning is exact, not approximate.
-        for (unsigned c = 0; c < numInstClasses; c++)
-            if (tables[c])
-                probeColumns(*tables[c], store.classColumns(
-                                             static_cast<InstClass>(c)));
+    for (unsigned c = 0; c < numInstClasses; c++) {
+        auto cls = static_cast<InstClass>(c);
+        if (auto op = memoOperation(cls))
+            if (MemoTable *table = bank.table(*op))
+                probeColumns(*table, store.classColumns(cls));
     }
 }
 

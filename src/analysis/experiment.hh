@@ -53,9 +53,9 @@ constexpr size_t kReplayBlock = 4096;
 /**
  * Feed every memoizable instruction of a trace through the bank.
  *
- * The hot path: streams the TraceStore's operand columns in blocks of
- * kReplayBlock records, partitions each block by operation, and
- * presents each partition to its table through MemoTable::probeBlock.
+ * The hot path: streams each class's operand column of the
+ * TraceStore (TraceStore::classColumns) to its table through
+ * MemoTable::probeBlock in blocks of kReplayBlock accesses.
  * Accesses reach each table in trace order, so the resulting table
  * states and statistics are bit-identical to replayMemoReference();
  * tests/test_replay_batched.cc and the memo-fuzz batched-replay mode
@@ -64,8 +64,9 @@ constexpr size_t kReplayBlock = 4096;
 void replayMemo(const Trace &trace, MemoBank &bank);
 
 /**
- * replayMemo() without the statistics-registry fold: the same table
- * states and statistics, and no analysis.replay or core.table
+ * replayMemo() without the statistics-registry fold: the same
+ * per-class column passes, the same table states and statistics,
+ * and no analysis.replay or core.table
  * counters. For consumers that account for the replay themselves
  * (the closed-form cycle accounting of check/measure.hh).
  */

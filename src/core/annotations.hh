@@ -5,7 +5,7 @@
  *
  * Every shared-state subsystem in this repository (ThreadPool,
  * TraceCache, StatsRegistry, Profiler, Heartbeat,
- * LineGenerations, the lazy TraceStore partition) carries hand-written
+ * LineGenerations) carries hand-written
  * locking contracts; this header makes those contracts machine-checked.
  * Under Clang the macros expand to the capability attributes consumed
  * by `-Wthread-safety` (a dedicated CI job builds the tree with

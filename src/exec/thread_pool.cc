@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <limits>
 #include <string>
 
 #include "exec/env.hh"
@@ -131,8 +130,7 @@ ThreadPool::publishUtilization(obs::StatsRegistry &reg) const
 unsigned
 ThreadPool::defaultJobs()
 {
-    if (auto n = parsePositive(std::getenv("MEMO_JOBS"),
-                               std::numeric_limits<unsigned>::max()))
+    if (auto n = parsePositive(std::getenv("MEMO_JOBS"), kMaxJobs))
         return static_cast<unsigned>(*n);
     return std::max(1u, std::thread::hardware_concurrency());
 }

@@ -50,11 +50,16 @@ class ThreadPool
     /** Block until the queue is empty and every worker is idle. */
     void wait();
 
+    /** The largest MEMO_JOBS value defaultJobs() accepts. */
+    static constexpr unsigned kMaxJobs = 1024;
+
     /**
      * The default parallelism: the MEMO_JOBS environment variable when
-     * it is a positive decimal integer that fits in `unsigned` (see
+     * it is a positive decimal integer no greater than kMaxJobs (see
      * parsePositive() in exec/env.hh), otherwise
-     * hardware_concurrency() (minimum 1).
+     * hardware_concurrency() (minimum 1). The cap bounds the OS
+     * threads shared() starts: a typo such as MEMO_JOBS=100000 keeps
+     * the default instead.
      */
     static unsigned defaultJobs();
 

@@ -12,35 +12,4 @@ TraceStore::classCounts() const
     return counts;
 }
 
-const TraceStore::ClassColumns &
-TraceStore::classColumns(InstClass cls) const
-{
-    // partMu (class-scope, process-wide) guards creation and
-    // (re)build of every store's partition cache. The critical
-    // section after the first build is a size check and an array
-    // index, so sharing one lock across all traces costs nothing
-    // measurable; the mutex acquire also publishes the built columns
-    // to later readers (the columns themselves are only ever written
-    // under the lock).
-    MutexLock lock(partMu);
-    if (!part_)
-        part_ = std::make_unique<Partition>();
-    if (part_->builtFor != opA_.size()) {
-        for (ClassColumns &c : part_->cols) {
-            c.a.clear();
-            c.b.clear();
-            c.r.clear();
-        }
-        const size_t n = opA_.size();
-        for (size_t i = 0; i < n; i++) {
-            ClassColumns &c = part_->cols[opCls_[i]];
-            c.a.push_back(opA_[i]);
-            c.b.push_back(opB_[i]);
-            c.r.push_back(opRes_[i]);
-        }
-        part_->builtFor = n;
-    }
-    return part_->cols[static_cast<uint8_t>(cls)];
-}
-
 } // namespace memo

@@ -7,17 +7,18 @@
  * but most of a trace is IntAlu/Branch (no payload at all) and
  * Load/Store (address only). The store keeps per-instruction columns
  * for the fields every record has — class, synthetic PC, and a payload
- * index — and appends operand/result words or addresses to side
- * columns only for the classes that use them:
+ * index — and stores each payload word once: operand/result words in
+ * the columns of the record's class, addresses in one address column.
  *
  *   IntAlu/Branch   9 bytes/record   (vs 40)
  *   Load/Store     17 bytes/record   (vs 40)
  *   mul/div/...    33 bytes/record   (vs 40)
  *
  * which streams ~2-3x less memory per instruction through the replay
- * loops (CpuModel::run, replayMemo, OpMix counting). Iteration
- * materializes lightweight Instruction values through a forward
- * iterator, so replay code is written exactly as before.
+ * loops (CpuModel::run, OpMix counting). Iteration materializes
+ * lightweight Instruction values through a forward iterator, so replay
+ * code is written exactly as before; batched replay (replayMemo)
+ * streams the per-class operand columns directly.
  *
  * push() keeps only the fields meaningful for the instruction's
  * class: operand/result words of non-computational classes and
@@ -32,10 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <vector>
-
-#include "core/annotations.hh"
 
 #include "trace/instruction.hh"
 
@@ -46,35 +44,7 @@ namespace memo
 class TraceStore
 {
   public:
-    TraceStore() = default;
-    TraceStore(TraceStore &&) = default;
-    TraceStore &operator=(TraceStore &&) = default;
-    // Copies share no partition cache; the copy rebuilds lazily.
-    TraceStore(const TraceStore &o)
-        : cls_(o.cls_), pc_(o.pc_), payload_(o.payload_),
-          opCls_(o.opCls_), opA_(o.opA_), opB_(o.opB_),
-          opRes_(o.opRes_), addr_(o.addr_)
-    {
-    }
-    TraceStore &
-    operator=(const TraceStore &o)
-    {
-        cls_ = o.cls_;
-        pc_ = o.pc_;
-        payload_ = o.payload_;
-        opCls_ = o.opCls_;
-        opA_ = o.opA_;
-        opB_ = o.opB_;
-        opRes_ = o.opRes_;
-        addr_ = o.addr_;
-        {
-            MutexLock lock(partMu);
-            part_.reset();
-        }
-        return *this;
-    }
-
-    /** Dense single-class partition of the operand columns. */
+    /** The operand words of one class, in trace order. */
     struct ClassColumns
     {
         std::vector<uint64_t> a, b, r;
@@ -113,11 +83,11 @@ class TraceStore
         cls_.push_back(static_cast<uint8_t>(inst.cls));
         pc_.push_back(inst.pc);
         if (hasOperands(inst.cls)) {
-            payload_.push_back(static_cast<uint32_t>(opA_.size()));
-            opCls_.push_back(static_cast<uint8_t>(inst.cls));
-            opA_.push_back(inst.a);
-            opB_.push_back(inst.b);
-            opRes_.push_back(inst.result);
+            ClassColumns &c = ops_[static_cast<uint8_t>(inst.cls)];
+            payload_.push_back(static_cast<uint32_t>(c.a.size()));
+            c.a.push_back(inst.a);
+            c.b.push_back(inst.b);
+            c.r.push_back(inst.result);
         } else if (hasAddress(inst.cls)) {
             payload_.push_back(static_cast<uint32_t>(addr_.size()));
             addr_.push_back(inst.addr);
@@ -134,10 +104,11 @@ class TraceStore
         inst.cls = static_cast<InstClass>(cls_[i]);
         inst.pc = pc_[i];
         if (hasOperands(inst.cls)) {
+            const ClassColumns &c = ops_[cls_[i]];
             uint32_t p = payload_[i];
-            inst.a = opA_[p];
-            inst.b = opB_[p];
-            inst.result = opRes_[p];
+            inst.a = c.a[p];
+            inst.b = c.b[p];
+            inst.result = c.r[p];
         } else if (hasAddress(inst.cls)) {
             inst.addr = addr_[payload_[i]];
         }
@@ -148,21 +119,6 @@ class TraceStore
     bool empty() const { return cls_.empty(); }
 
     /**
-     * Batched-replay view of the operand side columns: the
-     * operand-carrying records only, in trace order, as contiguous
-     * arrays. opClasses()[i] is the class of the access whose operand
-     * words are opA()[i]/opB()[i]/opResults()[i]; records without
-     * operands (IntAlu, Load, ...) do not appear. replayMemo() streams
-     * these four columns directly instead of materializing an
-     * Instruction per record.
-     */
-    size_t opCount() const { return opA_.size(); }
-    const uint8_t *opClasses() const { return opCls_.data(); }
-    const uint64_t *opA() const { return opA_.data(); }
-    const uint64_t *opB() const { return opB_.data(); }
-    const uint64_t *opResults() const { return opRes_.data(); }
-
-    /**
      * Raw per-record class and address columns, for consumers that
      * walk a trace column-wise (the CPU cost pass in sim/cpu.cc).
      */
@@ -170,18 +126,16 @@ class TraceStore
     const uint64_t *addrData() const { return addr_.data(); }
 
     /**
-     * Dense per-class view of the operand columns: the a/b/result
-     * words of every record of class @p cls, contiguous and in trace
-     * order. Built for all classes on first use and cached (a trace
-     * is recorded once and replayed many times); the cache rebuilds
-     * itself if the store grew since, and is not shared by copies.
-     * Thread-safe: concurrent first calls from parallel sweep workers
-     * serialize on an internal mutex. The returned reference stays
-     * valid while the store exists unmutated. Cache memory is a
-     * derived copy of the operand columns and is not counted by
-     * memoryBytes().
+     * The a/b/result words of every record of class @p cls, contiguous
+     * and in trace order (empty for classes without operands). Batched
+     * replay streams these columns directly. The reference stays valid
+     * while the store exists; push() may reallocate the vectors.
      */
-    const ClassColumns &classColumns(InstClass cls) const;
+    const ClassColumns &
+    classColumns(InstClass cls) const
+    {
+        return ops_[static_cast<uint8_t>(cls)];
+    }
 
     void
     clear()
@@ -189,43 +143,36 @@ class TraceStore
         cls_.clear();
         pc_.clear();
         payload_.clear();
-        opCls_.clear();
-        opA_.clear();
-        opB_.clear();
-        opRes_.clear();
-        addr_.clear();
-        {
-            MutexLock lock(partMu);
-            part_.reset();
+        for (ClassColumns &c : ops_) {
+            c.a.clear();
+            c.b.clear();
+            c.r.clear();
         }
+        addr_.clear();
     }
 
     /**
-     * Reserve for @p n records. The side columns are sized by the
-     * given fractions of n (defaults match a typical kernel mix of
-     * roughly one-third computational and one-third memory records).
+     * Reserve the per-record columns for @p n records. The operand and
+     * address columns grow on demand: their share of a trace depends
+     * on the workload's class mix.
      */
     void
-    reserve(size_t n, double op_fraction = 0.4,
-            double mem_fraction = 0.4)
+    reserve(size_t n)
     {
         cls_.reserve(n);
         pc_.reserve(n);
         payload_.reserve(n);
-        size_t ops = static_cast<size_t>(n * op_fraction);
-        opCls_.reserve(ops);
-        opA_.reserve(ops);
-        opB_.reserve(ops);
-        opRes_.reserve(ops);
-        addr_.reserve(static_cast<size_t>(n * mem_fraction));
     }
 
     /** Bytes held by the record data (excluding slack capacity). */
     size_t
     memoryBytes() const
     {
+        size_t operands = 0;
+        for (const ClassColumns &c : ops_)
+            operands += c.a.size();
         return cls_.size() * (sizeof(uint8_t) + sizeof(uint32_t) * 2) +
-               opA_.size() * (sizeof(uint64_t) * 3 + sizeof(uint8_t)) +
+               operands * sizeof(uint64_t) * 3 +
                addr_.size() * sizeof(uint64_t);
     }
 
@@ -286,35 +233,14 @@ class TraceStore
     const_iterator end() const { return {this, size()}; }
 
   private:
-    // Per-record columns. Record/clear run strictly before any
-    // concurrent replay (a trace is frozen once recorded), so the
-    // columns themselves carry no lock.
-    std::vector<uint8_t> cls_ MEMO_UNGUARDED;
-    std::vector<uint32_t> pc_ MEMO_UNGUARDED;
-    std::vector<uint32_t> payload_
-        MEMO_UNGUARDED; //!< index into opA_/opB_/opRes_ or addr_
+    // Per-record columns.
+    std::vector<uint8_t> cls_;
+    std::vector<uint32_t> pc_;
+    std::vector<uint32_t> payload_; //!< index into ops_[cls] or addr_
 
-    // Side columns, indexed by payload_. opCls_ repeats the class of
-    // each operand-carrying record so batched replay can walk the
-    // operand columns alone (see opClasses()).
-    std::vector<uint8_t> opCls_ MEMO_UNGUARDED;
-    std::vector<uint64_t> opA_ MEMO_UNGUARDED;
-    std::vector<uint64_t> opB_ MEMO_UNGUARDED;
-    std::vector<uint64_t> opRes_ MEMO_UNGUARDED;
-    std::vector<uint64_t> addr_ MEMO_UNGUARDED;
-
-    /** Lazily built per-class partition (see classColumns()). */
-    struct Partition
-    {
-        size_t builtFor = SIZE_MAX; //!< opA_.size() when built
-        std::array<ClassColumns, numInstClasses> cols;
-    };
-    /// One process-wide mutex guards creation and (re)build of every
-    /// store's partition cache (see classColumns() in the .cc for why
-    /// sharing is free); class-scope so the guarded_by relation is
-    /// visible to the capability analysis.
-    inline static Mutex partMu;
-    mutable std::unique_ptr<Partition> part_ MEMO_GUARDED_BY(partMu);
+    // Side columns, indexed by payload_.
+    std::array<ClassColumns, numInstClasses> ops_;
+    std::vector<uint64_t> addr_;
 };
 
 } // namespace memo

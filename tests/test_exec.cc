@@ -87,8 +87,10 @@ TEST(ThreadPool, DefaultJobsIsPositive)
 
 TEST(ThreadPool, DefaultJobsHonoursEnv)
 {
-    ScopedEnv env("MEMO_JOBS", "3");
-    EXPECT_EQ(exec::ThreadPool::defaultJobs(), 3u);
+    for (unsigned n : {3u, exec::ThreadPool::kMaxJobs}) {
+        ScopedEnv env("MEMO_JOBS", std::to_string(n).c_str());
+        EXPECT_EQ(exec::ThreadPool::defaultJobs(), n);
+    }
 }
 
 TEST(ThreadPool, DefaultJobsRejectsMalformedEnv)
@@ -97,7 +99,8 @@ TEST(ThreadPool, DefaultJobsRejectsMalformedEnv)
     const unsigned fallback =
         std::max(1u, std::thread::hardware_concurrency());
     for (const char *bad : {"3x", " 3", "+3", "-2", "0", "", "2.5",
-                            "4294967296", "99999999999"}) {
+                            "4294967296", "99999999999", "1025",
+                            "100000"}) {
         ScopedEnv env("MEMO_JOBS", bad);
         EXPECT_EQ(exec::ThreadPool::defaultJobs(), fallback)
             << "MEMO_JOBS=\"" << bad << "\"";

@@ -1,16 +1,18 @@
 /**
  * @file
- * Tests for the trace container, the Recorder instrumentation facade
- * and the Traced value wrapper.
+ * Tests for the trace container and its column store, the Recorder
+ * instrumentation facade and the Traced value wrapper.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "arith/fp.hh"
 #include "core/aligned.hh"
 #include "trace/recorder.hh"
+#include "trace/trace_store.hh"
 #include "trace/traced.hh"
 
 namespace memo
@@ -35,6 +37,126 @@ TEST(Trace, OpMixCountsClasses)
     EXPECT_EQ(mix[InstClass::Branch], 1u);
     EXPECT_EQ(mix.total(), 7u);
     EXPECT_DOUBLE_EQ(mix.fraction(InstClass::FpDiv), 1.0 / 7.0);
+}
+
+/**
+ * Record @p i of a hand-built trace that cycles through every class,
+ * with only the fields push() keeps for that class set, so get() must
+ * return it unchanged.
+ */
+Instruction
+storeRecord(size_t i)
+{
+    Instruction inst;
+    inst.cls = static_cast<InstClass>((i * 5) % numInstClasses);
+    inst.pc = static_cast<uint32_t>(0x400 + 4 * i);
+    if (TraceStore::hasOperands(inst.cls)) {
+        inst.a = 0x1000 + i;
+        inst.b = ~uint64_t(i);
+        inst.result = i * 0x9e3779b97f4a7c15ull;
+    } else if (TraceStore::hasAddress(inst.cls)) {
+        inst.addr = 0x8000 + 32 * i;
+    }
+    return inst;
+}
+
+bool
+sameInst(const Instruction &x, const Instruction &y)
+{
+    return x.cls == y.cls && x.pc == y.pc && x.a == y.a && x.b == y.b &&
+           x.result == y.result && x.addr == y.addr;
+}
+
+/** Every class's column equals the per-class filter of iteration. */
+void
+expectColumnsMatchIteration(const TraceStore &store)
+{
+    for (unsigned c = 0; c < numInstClasses; c++) {
+        const auto cls = static_cast<InstClass>(c);
+        TraceStore::ClassColumns want;
+        for (const Instruction &inst : store) {
+            if (inst.cls == cls && TraceStore::hasOperands(cls)) {
+                want.a.push_back(inst.a);
+                want.b.push_back(inst.b);
+                want.r.push_back(inst.result);
+            }
+        }
+        const TraceStore::ClassColumns &got = store.classColumns(cls);
+        EXPECT_EQ(got.a, want.a) << instClassName(cls);
+        EXPECT_EQ(got.b, want.b) << instClassName(cls);
+        EXPECT_EQ(got.r, want.r) << instClassName(cls);
+    }
+}
+
+TEST(TraceStore, ClassColumnsHoldEachClassInTraceOrder)
+{
+    constexpr size_t n = 10 * numInstClasses + 3;
+    TraceStore store;
+    for (size_t i = 0; i < n; i++)
+        store.push(storeRecord(i));
+    ASSERT_EQ(store.size(), n);
+
+    for (size_t i = 0; i < n; i++)
+        EXPECT_TRUE(sameInst(store.get(i), storeRecord(i))) << i;
+    expectColumnsMatchIteration(store);
+    EXPECT_TRUE(store.classColumns(InstClass::IntAlu).a.empty());
+    EXPECT_TRUE(store.classColumns(InstClass::Load).a.empty());
+
+    // A column read once keeps growing with the store.
+    const TraceStore::ClassColumns &fpmul =
+        store.classColumns(InstClass::FpMul);
+    const size_t fpmul_before = fpmul.a.size();
+    for (size_t i = n; i < 2 * n; i++)
+        store.push(storeRecord(i));
+    EXPECT_GT(fpmul.a.size(), fpmul_before);
+    EXPECT_EQ(fpmul.a.size(),
+              store.classCounts()[static_cast<size_t>(InstClass::FpMul)]);
+    for (size_t i = 0; i < 2 * n; i++)
+        EXPECT_TRUE(sameInst(store.get(i), storeRecord(i))) << i;
+    expectColumnsMatchIteration(store);
+
+    TraceStore copied(store);
+    TraceStore assigned;
+    assigned.push(storeRecord(1));
+    assigned = store;
+    for (const TraceStore *s : {&copied, &assigned}) {
+        ASSERT_EQ(s->size(), store.size());
+        for (unsigned c = 0; c < numInstClasses; c++) {
+            const auto cls = static_cast<InstClass>(c);
+            EXPECT_EQ(s->classColumns(cls).a, store.classColumns(cls).a);
+            EXPECT_EQ(s->classColumns(cls).b, store.classColumns(cls).b);
+            EXPECT_EQ(s->classColumns(cls).r, store.classColumns(cls).r);
+        }
+        for (size_t i = 0; i < store.size(); i++)
+            EXPECT_TRUE(sameInst(s->get(i), store.get(i))) << i;
+    }
+
+    store.clear();
+    EXPECT_TRUE(store.empty());
+    EXPECT_EQ(store.memoryBytes(), 0u);
+    for (unsigned c = 0; c < numInstClasses; c++) {
+        const auto &col = store.classColumns(static_cast<InstClass>(c));
+        EXPECT_TRUE(col.a.empty() && col.b.empty() && col.r.empty());
+    }
+    EXPECT_EQ(copied.size(), 2 * n); // copies own their columns
+}
+
+TEST(TraceStore, MemoryBytesCountsEveryColumn)
+{
+    TraceStore store;
+    size_t ops = 0, addrs = 0;
+    constexpr size_t n = 1000;
+    for (size_t i = 0; i < n; i++) {
+        Instruction inst = storeRecord(i);
+        ops += TraceStore::hasOperands(inst.cls);
+        addrs += TraceStore::hasAddress(inst.cls);
+        store.push(inst);
+    }
+    ASSERT_GT(ops, 0u);
+    ASSERT_GT(addrs, 0u);
+    // class + pc + payload index per record, a/b/result words per
+    // operand record, one address word per Load/Store.
+    EXPECT_EQ(store.memoryBytes(), 9 * n + 24 * ops + 8 * addrs);
 }
 
 TEST(Recorder, OperationsComputeCorrectly)

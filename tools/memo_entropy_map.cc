@@ -14,10 +14,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <map>
 
+#include "exec/env.hh"
 #include "img/entropy.hh"
 #include "img/generate.hh"
 #include "img/pnm.hh"
@@ -63,7 +63,19 @@ main(int argc, char **argv)
         return 1;
     }
     std::string name = argv[1];
-    int window = argc > 2 ? std::atoi(argv[2]) : 8;
+    int window = 8;
+    if (argc > 2) {
+        // Wider than any image, and small enough that the tile
+        // arithmetic below stays within int.
+        auto n = exec::parsePositive(argv[2], 1 << 16);
+        if (!n) {
+            std::fprintf(stderr, "memo-entropy-map: window must be a "
+                                 "positive integer, got '%s'\n",
+                         argv[2]);
+            return 1;
+        }
+        window = static_cast<int>(*n);
+    }
     std::string out_path = argc > 3 ? argv[3] : "entropy_map.pgm";
 
     try {

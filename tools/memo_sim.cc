@@ -183,6 +183,14 @@ parseArgs(int argc, char **argv)
                                      argv[i]);
         return argv[++i];
     };
+    // Digits only: "3x", "-1" and values above max are errors.
+    auto positive = [&](int &i, uint64_t max) -> uint64_t {
+        std::string flag = argv[i];
+        auto n = exec::parsePositive(need(i).c_str(), max);
+        if (!n)
+            throw std::runtime_error(flag + " needs a positive N");
+        return *n;
+    };
     for (int i = 1; i < argc; i++) {
         std::string a = argv[i];
         if (a == "--workload") {
@@ -192,13 +200,11 @@ parseArgs(int argc, char **argv)
         } else if (a == "--image") {
             opt.image = need(i);
         } else if (a == "--crop") {
-            opt.crop = std::atoi(need(i).c_str());
+            opt.crop = static_cast<int>(positive(i, INT_MAX));
         } else if (a == "--entries") {
-            opt.table.entries =
-                static_cast<unsigned>(std::atoi(need(i).c_str()));
+            opt.table.entries = static_cast<unsigned>(positive(i, UINT_MAX));
         } else if (a == "--ways") {
-            opt.table.ways =
-                static_cast<unsigned>(std::atoi(need(i).c_str()));
+            opt.table.ways = static_cast<unsigned>(positive(i, UINT_MAX));
         } else if (a == "--infinite") {
             opt.table.infinite = true;
         } else if (a == "--tag") {
@@ -224,10 +230,7 @@ parseArgs(int argc, char **argv)
         } else if (a == "--preset") {
             opt.preset = need(i);
         } else if (a == "--jobs") {
-            auto n = exec::parsePositive(need(i).c_str(), UINT_MAX);
-            if (!n)
-                throw std::runtime_error("--jobs needs a positive N");
-            opt.jobs = static_cast<unsigned>(*n);
+            opt.jobs = static_cast<unsigned>(positive(i, UINT_MAX));
         } else if (a == "--trace-cache-budget") {
             auto bytes = exec::parseMebibytes(need(i).c_str());
             if (!bytes)
@@ -257,16 +260,9 @@ parseArgs(int argc, char **argv)
         } else if (a == "--progress") {
             opt.progress = true;
         } else if (a == "--sample") {
-            auto n = exec::parsePositive(need(i).c_str(), UINT64_MAX);
-            if (!n)
-                throw std::runtime_error("--sample needs a positive N");
-            opt.samplePeriod = *n;
+            opt.samplePeriod = positive(i, UINT64_MAX);
         } else if (a == "--phase-window") {
-            auto n = exec::parsePositive(need(i).c_str(), UINT64_MAX);
-            if (!n)
-                throw std::runtime_error(
-                    "--phase-window needs a positive N");
-            opt.phaseWindow = *n;
+            opt.phaseWindow = positive(i, UINT64_MAX);
         } else if (a == "--phase-out") {
             opt.phaseOut = need(i);
         } else if (a == "--phase-per-set") {
